@@ -38,7 +38,6 @@ from .mixing import (
 )
 from .objectives import (
     Problem,
-    QuadNode,
     full_gradients,
     global_optimum,
     make_random_quadratics,
@@ -56,10 +55,8 @@ from .simulator import (
     RunConfig,
     Trace,
     check_update_identity,
-    run_decoupled,
     run_dsgd,
     run_hadsgd,
-    run_hadsgd_momentum,
 )
 from .topology import (
     CliquePartition,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gme import (
     GmeSolverParams,
@@ -44,13 +43,7 @@ from .objectives import (
     relative_zeta_sq_at,
     zeta_sq_at,
 )
-from .simulator import (
-    RunConfig,
-    check_update_identity,
-    run_decoupled,
-    run_dsgd,
-    run_hadsgd,
-)
+from .simulator import RunConfig, _simulate, check_update_identity, run_dsgd, run_hadsgd
 from .topology import (
     CliquePartition,
     Topology,
@@ -104,6 +97,8 @@ def quadratic_program_oracle(
     from random feasible restarts, and the best polished value wins. The
     objective is convex, so the polished optimum is global.
     """
+    from scipy.optimize import minimize  # slow to import, and only needed here
+
     gamma = np.asarray(gamma, dtype=float)
     axes = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     mesh = np.stack(np.meshgrid(*([axes] * 4), indexing="ij"), axis=-1).reshape(-1, 4)
@@ -282,6 +277,24 @@ def solver_matches_oracle(corrupt: bool = False) -> CheckResult:
     )
 
 
+def _mean_point_run(problem, graph, cfg, solver_params):
+    """Exact-gradient run with the mean-point refresh used by the drift checks.
+
+    Every cfg.period steps the matrix is re-solved from the exact gradients
+    at the mean iterate; it is applied at every step, with no alternation.
+    """
+    state = {}
+
+    def matrices(t, x, u):
+        if t % cfg.period == 0:
+            gamma = gram(center_columns(_mean_point_grads(problem, x)))
+            state["w"] = solve_gme(gamma, graph, solver_params).w
+        return state["w"], state["w"]
+
+    return _simulate(problem, graph, cfg, matrices, exact_gradients=True,
+                     record_trace=True)
+
+
 def _drift_trajectories():
     """Ten exact-gradient runs with the mean-point refresh, periods 1, 10, 100."""
     plans = [(s, 1, 16) for s in range(4)]
@@ -297,9 +310,8 @@ def _drift_trajectories():
         )
         # the drift bound holds for whichever feasible matrix the refresh
         # produces, so a shallow solve is enough
-        log = run_hadsgd(problem, graph, cfg, exact_gradients=True,
-                         gme_at_mean=True, record_trace=True,
-                         solver_params=GmeSolverParams(max_iters=60, tol=1e-6))
+        log = _mean_point_run(problem, graph, cfg,
+                              GmeSolverParams(max_iters=60, tol=1e-6))
         yield problem, cfg, log.trace
 
 
@@ -385,8 +397,8 @@ def update_identity(corrupt: bool = False) -> CheckResult:
     ring16 = build_ring(16)
     dcfg = RunConfig(steps=40, lr=0.1 / two_class.smoothness,
                      algorithm="decoupled", noise_seed=6)
-    log3 = run_decoupled(two_class, ring16, metropolis_hastings(ring16),
-                         pairing_matrix(16), dcfg, record_trace=True)
+    log3 = run_dsgd(two_class, ring16, metropolis_hastings(ring16), dcfg,
+                    w_grads=pairing_matrix(16), record_trace=True)
     resid = max(check_update_identity(log.trace) for log in (log1, log2, log3))
     doctored = log1.trace
     saved = doctored.w_params[3]
@@ -497,8 +509,8 @@ def pairing_cancellation(corrupt: bool = False) -> CheckResult:
         for _ in range(10)
     )
     cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, algorithm="decoupled")
-    exact = run_decoupled(problem, graph, metropolis_hastings(graph), pairs, cfg,
-                          exact_gradients=True)
+    exact = run_dsgd(problem, graph, metropolis_hastings(graph), cfg, w_grads=pairs,
+                     exact_gradients=True)
     worst_gme = float(exact.gme.max())
     mh = metropolis_hastings(graph)
     wins = 0

@@ -20,16 +20,7 @@ from .objectives import (
     make_replicated,
     make_two_class_ring,
 )
-from .simulator import (
-    ALGORITHMS,
-    DivergenceError,
-    MetricsLog,
-    RunConfig,
-    run_decoupled,
-    run_dsgd,
-    run_hadsgd,
-    run_hadsgd_momentum,
-)
+from .simulator import DivergenceError, MetricsLog, RunConfig, run_dsgd, run_hadsgd
 from .topology import (
     Topology,
     build_complete,
@@ -56,6 +47,8 @@ _SCHEMA: dict[str, type] = {
     "window": int, "reps": int, "seed": int,
 }
 _REQUIRED = ("name", "out", "algorithm", "topology", "objective", "d", "steps", "seed")
+# keys passed through to RunConfig, which owns their defaults and range checks
+_RUN_KEYS = ("algorithm", "steps", "period", "sketch_dim", "alternate", "momentum", "window")
 _TOPOLOGIES = ("ring", "torus", "complete", "random", "file")
 _OBJECTIVES = ("random", "two_class", "replicated")
 _BOOL = {"true": True, "false": False}
@@ -103,7 +96,18 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: value {sval!r} for {key!r} is not {typ.__name__}"
             ) from exc
     _validate_values(values)
+    # lr_relative is a positive multiple of 1/L, so it stands in for lr here
+    _run_config(values, values.get("lr", values.get("lr_relative")))
     return ExperimentConfig(values)
+
+
+def _run_config(values: dict, lr: float, **seeds) -> RunConfig:
+    """RunConfig from the run-level keys a config sets; its ValueError becomes a ConfigError."""
+    given = {key: values[key] for key in _RUN_KEYS if key in values}
+    try:
+        return RunConfig(lr=lr, **given, **seeds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fail(msg: str):
@@ -116,8 +120,8 @@ def _validate_values(values: dict) -> None:
             _fail(f"missing required key {key!r}")
     if ("lr" in values) == ("lr_relative" in values):
         _fail("exactly one of 'lr' and 'lr_relative' is required")
-    if values["algorithm"] not in ALGORITHMS:
-        _fail(f"algorithm must be one of {ALGORITHMS}, got {values['algorithm']!r}")
+    if values["seed"] < 0:
+        _fail(f"seed must be >= 0, got {values['seed']}")
     if values.get("weights", "mh") not in ("mh", "spectral"):
         _fail(f"weights must be 'mh' or 'spectral', got {values['weights']!r}")
     topo = values["topology"]
@@ -138,23 +142,18 @@ def _validate_values(values: dict) -> None:
         _fail("objective 'two_class' fixes n = 16")
     if values["algorithm"] == "decoupled" and obj != "two_class":
         _fail("algorithm 'decoupled' is only wired up for objective 'two_class'")
-    positive = ("d", "steps", "period", "sketch_dim", "window", "reps", "rows",
-                "cols", "m", "replicate_period")
+    positive = ("d", "reps", "rows", "cols", "m", "replicate_period")
     for key in positive:
         if key in values and values[key] < 1:
             _fail(f"{key} must be >= 1, got {values[key]}")
     if "n" in values and values["n"] < 2:
         _fail(f"n must be >= 2, got {values['n']}")
-    if "lr" in values and values["lr"] <= 0:
-        _fail(f"lr must be positive, got {values['lr']}")
     if "lr_relative" in values and values["lr_relative"] <= 0:
         _fail(f"lr_relative must be positive, got {values['lr_relative']}")
     if "keep_fraction" in values and not 0.0 < values["keep_fraction"] <= 1.0:
         _fail(f"keep_fraction must be in (0, 1], got {values['keep_fraction']}")
     if "noise_var" in values and values["noise_var"] < 0:
         _fail(f"noise_var must be nonnegative, got {values['noise_var']}")
-    if "momentum" in values and not 0.0 <= values["momentum"] < 1.0:
-        _fail(f"momentum must be in [0, 1), got {values['momentum']}")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -219,28 +218,22 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> MetricsLog:
             f"objective has {problem.n} nodes but topology has {topology.n}"
         )
     lr = cfg["lr"] if "lr" in cfg else cfg["lr_relative"] / problem.smoothness
-    run_cfg = RunConfig(
-        steps=cfg["steps"], lr=lr, algorithm=cfg["algorithm"],
-        period=cfg.get("period", 100), sketch_dim=cfg.get("sketch_dim", 64),
-        sketch_seed=seed + 20_000 + rep, data_seed=data_seed,
-        noise_seed=seed + 10_000 + rep, alternate=cfg.get("alternate", True),
-        momentum=cfg.get("momentum", 0.9), window=cfg.get("window", 5),
+    run_cfg = _run_config(
+        cfg.values, lr, sketch_seed=seed + 20_000 + rep, data_seed=data_seed,
+        noise_seed=seed + 10_000 + rep,
     )
-    algorithm = cfg["algorithm"]
-    if algorithm == "hadsgd":
+    if run_cfg.algorithm in ("hadsgd", "hadsgd_momentum"):
         return run_hadsgd(problem, topology, run_cfg)
-    if algorithm == "hadsgd_momentum":
-        return run_hadsgd_momentum(problem, topology, run_cfg)
     if cfg.get("weights", "mh") == "spectral":
         fixed = optimal_spectral_gap_weights(topology)
     else:
         fixed = metropolis_hastings(topology)
-    if algorithm == "decoupled":
+    pairs = None
+    if run_cfg.algorithm == "decoupled":
         pairs = pairing_matrix(topology.n)
         if validate(pairs, topology) is not None:
             raise ConfigError("decoupled pairing needs edges (2k, 2k+1) in the graph")
-        return run_decoupled(problem, topology, fixed, pairs, run_cfg)
-    return run_dsgd(problem, topology, fixed, run_cfg)
+    return run_dsgd(problem, topology, fixed, run_cfg, w_grads=pairs)
 
 
 def _final_line(name: str, rep: int, log: MetricsLog) -> str:

@@ -154,7 +154,16 @@ def project_feasible(
     x = np.array(m, dtype=float)
     if x.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {x.shape}")
-    support = topology.support_mask()
+    return MixingMatrix(_dykstra(x, topology.support_mask(), params), sum_atol=1e-8)
+
+
+def _dykstra(x: np.ndarray, support: np.ndarray, params: GmeSolverParams) -> np.ndarray:
+    """The projection loop on plain arrays.
+
+    Returns the last iterate clipped to [0, 1], as a MixingMatrix built from
+    it would be, so solves on plain arrays keep their results bit for bit.
+    """
+    n = x.shape[0]
     q = np.zeros_like(x)
     prev = None
     diff = np.inf
@@ -167,7 +176,7 @@ def project_feasible(
         if prev is not None:
             diff = float(np.linalg.norm(x - prev))
             if diff <= params.projection_tol:
-                return MixingMatrix(x, sum_atol=1e-8)
+                return np.clip(x, 0.0, 1.0, out=x)
         prev = x
     raise ArithmeticError(
         f"Dykstra projection did not converge in {params.projection_max_iters} "
@@ -219,13 +228,14 @@ def solve_gme(
     floor = params.tol * max(f, 1e-300)
     if f == 0.0:
         return init
+    support = topology.support_mask()
     for _ in range(params.max_iters):
         grad = 2.0 * (g @ w)
-        w_new = project_feasible(w - step * grad, topology, params).w
+        w_new = _dykstra(w - step * grad, support, params)
         f_new = _objective(g, w_new)
         while f_new > f and step > 1e-300:
             step *= 0.5
-            w_new = project_feasible(w - step * grad, topology, params).w
+            w_new = _dykstra(w - step * grad, support, params)
             f_new = _objective(g, w_new)
         if f_new > f:
             break

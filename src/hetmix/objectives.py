@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import top_eigenvalue
 
 __all__ = [
-    "QuadNode",
     "Problem",
     "make_random_quadratics",
     "make_two_class_ring",
@@ -34,63 +33,55 @@ TWO_CLASS_NOISE_STD = sqrt(0.001)
 
 
 @dataclass(frozen=True)
-class QuadNode:
-    """One node's data: f(x) = ||A x + b||^2."""
+class Problem:
+    """Node data stacked as read-only arrays, with a cached optimum and smoothness bound.
 
-    a: np.ndarray  # (m, d)
-    b: np.ndarray  # (m,)
+    Node i holds a[i] of shape (m, d) and b[i] of shape (m,). noise_std is
+    the per-entry standard deviation of the additive gradient noise used
+    by stochastic_gradients.
+    """
+
+    a: np.ndarray  # (n, m, d)
+    b: np.ndarray  # (n, m)
+    noise_std: float
+    x_star: np.ndarray
+    smoothness: float
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
-        if a.ndim != 2 or b.shape != (a.shape[0],):
+        if a.ndim != 3 or b.shape != a.shape[:2]:
             raise ValueError(f"incompatible shapes A {a.shape}, b {b.shape}")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def value(self, x: np.ndarray) -> float:
-        r = self.a @ x + self.b
-        return float(r @ r)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.a.T @ (self.a @ x + self.b))
-
-
-@dataclass(frozen=True)
-class Problem:
-    """A collection of quadratic nodes with a cached optimum and smoothness bound.
-
-    noise_std is the per-entry standard deviation of the additive gradient
-    noise used by stochastic_gradients.
-    """
-
-    nodes: tuple[QuadNode, ...]
-    noise_std: float
-    x_star: np.ndarray
-    smoothness: float
-
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return self.a.shape[0]
 
     @property
     def d(self) -> int:
-        return self.nodes[0].a.shape[1]
+        return self.a.shape[2]
 
     def loss(self, x: np.ndarray) -> float:
-        return sum(node.value(x) for node in self.nodes) / self.n
+        r = self.a @ x + self.b
+        # per-node values summed in node order, as floats, for reproducible bits
+        return sum((r[:, None, :] @ r[:, :, None]).ravel().tolist()) / self.n
 
 
-def _solve_optimum(nodes: tuple[QuadNode, ...]) -> np.ndarray:
+def _hessians(a: np.ndarray) -> np.ndarray:
+    """Per-node A_i^T A_i, shape (n, d, d)."""
+    return a.transpose(0, 2, 1) @ a
+
+
+def _solve_optimum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense symmetric solve of sum A^T A x = -sum A^T b, with a residual check."""
-    d = nodes[0].a.shape[1]
-    h = np.zeros((d, d))
-    rhs = np.zeros(d)
-    for node in nodes:
-        h += node.a.T @ node.a
-        rhs -= node.a.T @ node.b
+    # Python sum adds node by node; ndarray.sum may pair terms differently,
+    # which moves the last bits of the optimum
+    h = sum(_hessians(a))
+    rhs = sum(-(a.transpose(0, 2, 1) @ b[:, :, None])[..., 0])
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
@@ -102,16 +93,23 @@ def _solve_optimum(nodes: tuple[QuadNode, ...]) -> np.ndarray:
     return x
 
 
-def _build(nodes: tuple[QuadNode, ...], noise_std: float) -> Problem:
+def _draw_nodes(rng: np.random.Generator, count: int, m: int, d: int):
+    """Standard normal A_i and b_i, drawn in the order A_0, b_0, A_1, b_1, ... and stacked."""
+    draws = [(rng.standard_normal((m, d)), rng.standard_normal(m)) for _ in range(count)]
+    return np.stack([a for a, _ in draws]), np.stack([b for _, b in draws])
+
+
+def _build(a: np.ndarray, b: np.ndarray, noise_std: float) -> Problem:
     if noise_std < 0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
-    x_star = _solve_optimum(nodes)
-    smooth = 2.0 * max(top_eigenvalue(node.a.T @ node.a) for node in nodes)
-    grad = sum(node.gradient(x_star) for node in nodes) / len(nodes)
+    x_star = _solve_optimum(a, b)
+    smooth = 2.0 * max(top_eigenvalue(h) for h in _hessians(a))
+    x_star.flags.writeable = False
+    problem = Problem(a, b, float(noise_std), x_star, float(smooth))
+    grad = full_gradients(problem, np.tile(x_star[:, None], (1, problem.n))).mean(axis=1)
     if np.linalg.norm(grad) > 1e-8 * (1.0 + np.linalg.norm(x_star)):
         raise ArithmeticError("cached optimum is not stationary")
-    x_star.flags.writeable = False
-    return Problem(nodes, float(noise_std), x_star, float(smooth))
+    return problem
 
 
 def make_random_quadratics(
@@ -126,11 +124,8 @@ def make_random_quadratics(
         m = d
     if n * m < d:
         raise ValueError(f"need n*m >= d for a unique optimum, got {n}*{m} < {d}")
-    rng = np.random.default_rng(seed)
-    nodes = tuple(
-        QuadNode(rng.standard_normal((m, d)), rng.standard_normal(m)) for _ in range(n)
-    )
-    return _build(nodes, noise_std)
+    a, b = _draw_nodes(np.random.default_rng(seed), n, m, d)
+    return _build(a, b, noise_std)
 
 
 def make_two_class_ring(
@@ -145,10 +140,8 @@ def make_two_class_ring(
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     shift = a @ np.ones(d)
-    nodes = tuple(
-        QuadNode(a, -shift if i % 2 == 0 else shift) for i in range(TWO_CLASS_NODES)
-    )
-    return _build(nodes, noise_std)
+    shifts = [-shift if i % 2 == 0 else shift for i in range(TWO_CLASS_NODES)]
+    return _build(np.stack([a] * TWO_CLASS_NODES), np.stack(shifts), noise_std)
 
 
 def make_replicated(
@@ -160,12 +153,9 @@ def make_replicated(
         raise ValueError(f"period {period} must divide n={n}")
     if m is None:
         m = d
-    rng = np.random.default_rng(seed)
-    base = [
-        QuadNode(rng.standard_normal((m, d)), rng.standard_normal(m))
-        for _ in range(period)
-    ]
-    return _build(tuple(base[i % period] for i in range(n)), noise_std)
+    a, b = _draw_nodes(np.random.default_rng(seed), period, m, d)
+    repeat = np.arange(n) % period
+    return _build(a[repeat], b[repeat], noise_std)
 
 
 def permute_nodes(problem: Problem, perm) -> Problem:
@@ -174,7 +164,8 @@ def permute_nodes(problem: Problem, perm) -> Problem:
     if sorted(perm) != list(range(problem.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     return Problem(
-        tuple(problem.nodes[i] for i in perm),
+        problem.a[perm],
+        problem.b[perm],
         problem.noise_std,
         problem.x_star,
         problem.smoothness,
@@ -183,17 +174,23 @@ def permute_nodes(problem: Problem, perm) -> Problem:
 
 def global_optimum(problem: Problem) -> np.ndarray:
     """Recompute the minimizer of the average objective from scratch."""
-    return _solve_optimum(problem.nodes)
+    return _solve_optimum(problem.a, problem.b)
 
 
 def full_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Column i is node i's exact gradient at column i of the d-by-n matrix x."""
+    """Column i is node i's exact gradient at column i of the d-by-n matrix x.
+
+    One batched matmul gives the same bits as a loop over nodes, and the
+    result takes the memory layout of x, as that loop's would: the layout
+    decides how later products and column means round.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d, problem.n):
         raise ValueError(f"expected shape {(problem.d, problem.n)}, got {x.shape}")
+    a = problem.a
+    r = a @ x.T[:, :, None] + problem.b[:, :, None]
     out = np.empty_like(x)
-    for i, node in enumerate(problem.nodes):
-        out[:, i] = node.gradient(x[:, i])
+    out[...] = 2.0 * (a.transpose(0, 2, 1) @ r)[..., 0].T
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gme import GmeSolverParams, SketchConfig, ce_gme, center_columns, gram, solve_gme
+from .gme import GmeSolverParams, SketchConfig, ce_gme
 from .mixing import MixingMatrix, metropolis_hastings
 from .objectives import Problem, full_gradients, stochastic_gradients
 from .topology import Topology
@@ -25,8 +25,6 @@ __all__ = [
     "DivergenceError",
     "run_dsgd",
     "run_hadsgd",
-    "run_decoupled",
-    "run_hadsgd_momentum",
     "check_update_identity",
 ]
 
@@ -50,7 +48,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Shared knobs for all runners; period and sketch_* matter only to the periodic variants."""
+    """Shared knobs for both runners.
+
+    period, sketch_*, alternate and momentum matter only to run_hadsgd,
+    which applies momentum iff algorithm is "hadsgd_momentum".
+    """
 
     steps: int
     lr: float
@@ -66,7 +68,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.lr <= 0:
@@ -127,11 +129,9 @@ class MetricsLog:
 
 def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     csum = np.concatenate([[0.0], np.cumsum(v)])
-    out = np.empty(len(v))
-    for t in range(len(v)):
-        lo = max(0, t - window + 1)
-        out[t] = (csum[t + 1] - csum[lo]) / (t - lo + 1)
-    return out
+    t = np.arange(len(v))
+    lo = np.maximum(0, t - window + 1)
+    return (csum[t + 1] - csum[lo]) / (t - lo + 1)
 
 
 def _simulate(
@@ -196,61 +196,19 @@ def run_dsgd(
     w: MixingMatrix,
     cfg: RunConfig,
     *,
+    w_grads: MixingMatrix | None = None,
     exact_gradients: bool = False,
     record_trace: bool = False,
 ) -> MetricsLog:
-    """Baseline: one fixed mixing matrix for parameters and gradients alike."""
-    arr = w.w
-
-    def matrices(t, x, u):
-        return arr, arr
-
-    return _simulate(problem, topology, cfg, matrices,
-                     exact_gradients=exact_gradients, record_trace=record_trace)
-
-
-def run_decoupled(
-    problem: Problem,
-    topology: Topology,
-    w_params: MixingMatrix,
-    w_grads: MixingMatrix,
-    cfg: RunConfig,
-    *,
-    exact_gradients: bool = False,
-    record_trace: bool = False,
-) -> MetricsLog:
-    """Split mixing: X <- X Wp - eta G Wg."""
-    wp, wg = w_params.w, w_grads.w
+    """Fixed mixing: X <- X W - eta G Wg, with Wg = W unless w_grads splits them."""
+    wp = w.w
+    wg = wp if w_grads is None else w_grads.w
 
     def matrices(t, x, u):
         return wp, wg
 
     return _simulate(problem, topology, cfg, matrices,
                      exact_gradients=exact_gradients, record_trace=record_trace)
-
-
-def _periodic_gme_schedule(
-    problem, topology, cfg, solver_params, exact_gradients, gme_at_mean
-):
-    """Refresh the optimized matrix every cfg.period steps, MH on alternate steps."""
-    mh = metropolis_hastings(topology)
-    state = {"w": mh.w}
-
-    def matrices(t, x, u):
-        if t % cfg.period == 0:
-            if gme_at_mean:
-                # exact-gradient, mean-point variant used by the drift checks
-                tiled = np.tile(x.mean(axis=1, keepdims=True), (1, topology.n))
-                gamma = gram(center_columns(full_gradients(problem, tiled)))
-                state["w"] = solve_gme(gamma, topology, solver_params).w
-            else:
-                scfg = SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // cfg.period)
-                state["w"] = ce_gme(u, topology, scfg, solver_params).w
-        if cfg.alternate and t % 2 == 1:
-            return mh.w, mh.w
-        return state["w"], state["w"]
-
-    return matrices
 
 
 def run_hadsgd(
@@ -260,50 +218,37 @@ def run_hadsgd(
     *,
     solver_params: GmeSolverParams | None = None,
     exact_gradients: bool = False,
-    gme_at_mean: bool = False,
     record_trace: bool = False,
 ) -> MetricsLog:
     """Periodically re-optimized mixing from sketched stochastic gradients.
 
     At steps divisible by cfg.period the mixing matrix is refreshed by
-    ce_gme on the current gradient matrix with sketch seed
+    ce_gme on the step's direction matrix with sketch seed
     cfg.sketch_seed + refresh index. With cfg.alternate the optimized
     matrix is applied on even steps and Metropolis-Hastings on odd steps
-    (refreshes always land on even steps). The exact_gradients and
-    gme_at_mean flags exist for the analytical drift checks.
+    (refreshes always land on even steps).
+
+    With cfg.algorithm == "hadsgd_momentum" a buffered direction replaces
+    the raw gradient everywhere: m <- beta m + G and U = beta m + G, so the
+    first step applies (1 + beta) G. With momentum = 0 this reproduces the
+    plain run exactly.
     """
-    matrices = _periodic_gme_schedule(
-        problem, topology, cfg, solver_params, exact_gradients, gme_at_mean
-    )
-    return _simulate(problem, topology, cfg, matrices,
-                     exact_gradients=exact_gradients, record_trace=record_trace)
+    mh = metropolis_hastings(topology).w
+    state = {"w": mh, "m": None}
 
+    def matrices(t, x, u):
+        if t % cfg.period == 0:
+            scfg = SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // cfg.period)
+            state["w"] = ce_gme(u, topology, scfg, solver_params).w
+        if cfg.alternate and t % 2 == 1:
+            return mh, mh
+        return state["w"], state["w"]
 
-def run_hadsgd_momentum(
-    problem: Problem,
-    topology: Topology,
-    cfg: RunConfig,
-    *,
-    solver_params: GmeSolverParams | None = None,
-    exact_gradients: bool = False,
-    record_trace: bool = False,
-) -> MetricsLog:
-    """Momentum variant: the buffered direction replaces the raw gradient everywhere.
+    def momentum(t, g):
+        state["m"] = g if state["m"] is None else cfg.momentum * state["m"] + g
+        return cfg.momentum * state["m"] + g
 
-    m <- beta m + G and U = beta m + G, so the first step applies
-    (1 + beta) G. The periodic refresh consumes U; with momentum = 0 this
-    reproduces run_hadsgd exactly.
-    """
-    beta = cfg.momentum
-    buf = {"m": None}
-
-    def direction(t, g):
-        buf["m"] = g if buf["m"] is None else beta * buf["m"] + g
-        return beta * buf["m"] + g
-
-    matrices = _periodic_gme_schedule(
-        problem, topology, cfg, solver_params, exact_gradients, False
-    )
+    direction = momentum if cfg.algorithm == "hadsgd_momentum" else None
     return _simulate(problem, topology, cfg, matrices, direction,
                      exact_gradients=exact_gradients, record_trace=record_trace)
 

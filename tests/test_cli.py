@@ -1,8 +1,13 @@
 """Config parsing, the run/compare/check subcommands, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hetmix
 from hetmix.cli import (
     ConfigError,
     cmd_check,
@@ -70,11 +75,18 @@ def test_serialize_round_trips():
         ("weights = best", "weights"),
         ("momentum = 1.5", "momentum"),
         ("keep_fraction = 0", "keep_fraction"),
+        ("seed = -1", "seed must be"),
     ],
 )
 def test_parse_rejects_bad_lines(mutation, fragment):
+    text = _BASE.format(out="/tmp/x")
+    if fragment != "duplicate":
+        # the mutation replaces the key's line, so a repeat is not what fails
+        key = mutation.split("=")[0].strip()
+        text = "".join(ln for ln in text.splitlines(keepends=True)
+                       if not ln.startswith(key + " "))
     with pytest.raises(ConfigError, match=fragment):
-        parse_config(_BASE.format(out="/tmp/x") + mutation + "\n")
+        parse_config(text + mutation + "\n")
 
 
 def test_parse_rejects_missing_required_and_structural_gaps():
@@ -194,6 +206,16 @@ def test_check_catches_injected_corruption(capsys, monkeypatch):
     assert main(["check", "fast", "--corrupt"]) == 1
     out = capsys.readouterr().out
     assert "FAIL spectral_norm_bound" in out
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hetmix.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, hetmix, hetmix.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # --- argparse plumbing -------------------------------------------------

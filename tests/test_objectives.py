@@ -6,7 +6,6 @@ import pytest
 from hetmix.mixing import uniform_averaging
 from hetmix.objectives import (
     Problem,
-    QuadNode,
     full_gradients,
     global_optimum,
     make_random_quadratics,
@@ -21,12 +20,21 @@ from hetmix.objectives import (
 
 # --- oracles -----------------------------------------------------------
 
-def _finite_difference_gradient(node, x, h=1e-6):
+def _node_value(p, i, x):
+    r = p.a[i] @ x + p.b[i]
+    return float(r @ r)
+
+
+def _node_gradient(p, i, x):
+    return 2.0 * (p.a[i].T @ (p.a[i] @ x + p.b[i]))
+
+
+def _finite_difference_gradient(f, x, h=1e-6):
     g = np.empty_like(x)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (node.value(x + e) - node.value(x - e)) / (2 * h)
+        g[i] = (f(x + e) - f(x - e)) / (2 * h)
     return g
 
 
@@ -34,26 +42,34 @@ def _two_point_problem():
     """Two nodes with A = I and opposite shifts; everything about it is
     computable by hand: gradients at 0 are [2, 0] and [-2, 0], the optimum
     is the origin, and the smoothness constant is 2."""
-    n1 = QuadNode(np.eye(2), np.array([1.0, 0.0]))
-    n2 = QuadNode(np.eye(2), np.array([-1.0, 0.0]))
-    return Problem((n1, n2), 0.0, np.zeros(2), 2.0)
+    a = np.stack([np.eye(2), np.eye(2)])
+    b = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    return Problem(a, b, 0.0, np.zeros(2), 2.0)
 
 
-# --- nodes and factories -----------------------------------------------
+# --- problems and factories -----------------------------------------------
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(30)
-    for _ in range(5):
-        node = QuadNode(rng.standard_normal((4, 3)), rng.standard_normal(4))
-        x = rng.standard_normal(3)
+    p = make_random_quadratics(5, 3, 4, seed=30)
+    x = rng.standard_normal((3, 5))
+    g = full_gradients(p, x)
+    for i in range(5):
         np.testing.assert_allclose(
-            node.gradient(x), _finite_difference_gradient(node, x), rtol=1e-5, atol=1e-6
+            g[:, i],
+            _finite_difference_gradient(lambda v: _node_value(p, i, v), x[:, i]),
+            rtol=1e-5, atol=1e-6,
         )
 
 
-def test_quadnode_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        QuadNode(np.ones((3, 2)), np.ones(2))
+def test_problem_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="incompatible"):
+        Problem(np.ones((1, 3, 2)), np.ones((1, 2)), 0.0, np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="incompatible"):
+        Problem(np.ones((3, 2)), np.ones(3), 0.0, np.zeros(2), 1.0)
+    p = _two_point_problem()
+    assert (p.n, p.d) == (2, 2)
+    assert not p.a.flags.writeable and not p.b.flags.writeable
 
 
 def test_random_quadratics_basic_facts():
@@ -63,11 +79,11 @@ def test_random_quadratics_basic_facts():
     g = full_gradients(p, np.tile(p.x_star.reshape(-1, 1), (1, 5)))
     assert np.linalg.norm(g.mean(axis=1)) < 1e-8
     # smoothness is twice the largest per-node Hessian eigenvalue
-    want = 2.0 * max(np.linalg.eigvalsh(nd.a.T @ nd.a)[-1] for nd in p.nodes)
+    want = 2.0 * max(np.linalg.eigvalsh(a.T @ a)[-1] for a in p.a)
     assert p.smoothness == pytest.approx(want, rel=1e-8)
     # loss is the plain average of node values
     x = np.ones(4)
-    assert p.loss(x) == pytest.approx(sum(nd.value(x) for nd in p.nodes) / 5)
+    assert p.loss(x) == pytest.approx(sum(_node_value(p, i, x) for i in range(5)) / 5)
 
 
 def test_random_quadratics_rejects_underdetermined():
@@ -97,9 +113,9 @@ def test_two_class_ring_structure():
 def test_replicated_shares_data_across_period():
     p = make_replicated(6, 4, period=3, seed=4)
     for i in range(3):
-        assert np.array_equal(p.nodes[i].a, p.nodes[i + 3].a)
-        assert np.array_equal(p.nodes[i].b, p.nodes[i + 3].b)
-    assert not np.array_equal(p.nodes[0].a, p.nodes[1].a)
+        assert np.array_equal(p.a[i], p.a[i + 3])
+        assert np.array_equal(p.b[i], p.b[i + 3])
+    assert not np.array_equal(p.a[0], p.a[1])
     with pytest.raises(ValueError, match="divide"):
         make_replicated(6, 4, period=4, seed=4)
 
@@ -107,7 +123,8 @@ def test_replicated_shares_data_across_period():
 def test_permute_nodes():
     p = make_random_quadratics(4, 3, seed=5)
     q = permute_nodes(p, [3, 2, 1, 0])
-    assert np.array_equal(q.nodes[0].a, p.nodes[3].a)
+    assert np.array_equal(q.a[0], p.a[3])
+    assert np.array_equal(q.b[0], p.b[3])
     assert np.array_equal(q.x_star, p.x_star)
     assert q.smoothness == p.smoothness
     with pytest.raises(ValueError):
@@ -121,7 +138,7 @@ def test_full_gradients_columns_and_shape_check():
     x = np.random.default_rng(36).standard_normal((4, 3))
     g = full_gradients(p, x)
     for i in range(3):
-        np.testing.assert_allclose(g[:, i], p.nodes[i].gradient(x[:, i]), atol=1e-12)
+        np.testing.assert_allclose(g[:, i], _node_gradient(p, i, x[:, i]), atol=1e-12)
     with pytest.raises(ValueError):
         full_gradients(p, x.T)
 

@@ -15,10 +15,8 @@ from hetmix.simulator import (
     DivergenceError,
     RunConfig,
     check_update_identity,
-    run_decoupled,
     run_dsgd,
     run_hadsgd,
-    run_hadsgd_momentum,
 )
 from hetmix.topology import build_complete, build_random_connected, build_ring
 
@@ -58,7 +56,7 @@ def test_decoupled_with_equal_matrices_is_dsgd():
     cfg = RunConfig(steps=80, lr=0.2 / p.smoothness, noise_seed=1)
     cfg2 = RunConfig(steps=80, lr=0.2 / p.smoothness, algorithm="decoupled",
                      noise_seed=1)
-    assert _logs_equal(run_dsgd(p, g, w, cfg), run_decoupled(p, g, w, w, cfg2))
+    assert _logs_equal(run_dsgd(p, g, w, cfg), run_dsgd(p, g, w, cfg2, w_grads=w))
 
 
 def test_momentum_zero_is_plain_hadsgd():
@@ -67,10 +65,15 @@ def test_momentum_zero_is_plain_hadsgd():
     base = dict(steps=60, lr=0.2 / p.smoothness, period=20, sketch_dim=8,
                 noise_seed=2, sketch_seed=5)
     log_h = run_hadsgd(p, g, RunConfig(algorithm="hadsgd", **base))
-    log_m = run_hadsgd_momentum(
+    log_m = run_hadsgd(
         p, g, RunConfig(algorithm="hadsgd_momentum", momentum=0.0, **base)
     )
     assert _logs_equal(log_h, log_m)
+    # the algorithm name alone switches momentum on
+    log_b = run_hadsgd(
+        p, g, RunConfig(algorithm="hadsgd_momentum", momentum=0.5, **base)
+    )
+    assert not _logs_equal(log_h, log_b)
 
 
 def test_uniform_mixing_tracks_centralized_descent():
@@ -118,8 +121,8 @@ def test_two_class_pairing_run_is_exactly_mixed():
     p = make_two_class_ring(6, seed=45, noise_std=0.0)
     g = build_ring(16)
     cfg = RunConfig(steps=150, lr=0.3 / p.smoothness, algorithm="decoupled")
-    log = run_decoupled(p, g, metropolis_hastings(g), pairing_matrix(16), cfg,
-                        exact_gradients=True)
+    log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=pairing_matrix(16),
+                   exact_gradients=True)
     grad_scale = float(np.sum(full_gradients(p, np.zeros((6, 16))) ** 2))
     assert log.gme.max() <= 1e-16 * grad_scale
     assert log.dist_to_opt[-1] < 1e-6
