@@ -219,8 +219,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> MetricsLog:
         )
     lr = cfg["lr"] if "lr" in cfg else cfg["lr_relative"] / problem.smoothness
     run_cfg = _run_config(
-        cfg.values, lr, sketch_seed=seed + 20_000 + rep, data_seed=data_seed,
-        noise_seed=seed + 10_000 + rep,
+        cfg.values, lr, sketch_seed=seed + 20_000 + rep, noise_seed=seed + 10_000 + rep
     )
     if run_cfg.algorithm in ("hadsgd", "hadsgd_momentum"):
         return run_hadsgd(problem, topology, run_cfg)

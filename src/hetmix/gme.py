@@ -5,8 +5,11 @@ matrix G is ||G W - Gbar||_F^2 with Gbar the column-mean matrix, which
 equals Tr[W^T Gamma W] for the Gram matrix Gamma of the centered
 gradients. Minimizing that quadratic over the doubly stochastic matrices
 supported on the communication graph is a convex QP; it is solved here by
-projected gradient descent with a Dykstra projection, optionally on
-sketched gradients so nodes only exchange k-dimensional summaries.
+projected gradient descent, optionally on sketched gradients so nodes only
+exchange k-dimensional summaries. Each projection is exact up to a stated
+row-sum and column-sum residual: Newton's method on the dual in the 2n row
+and column multipliers finds it, warm-started from the previous projection
+within a solve.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ import numpy as np
 from .linalg import top_eigenvalue
 from .mixing import MixingMatrix, metropolis_hastings
 from .topology import Topology
+
+_RIDGE = 1e-10  # added to the Newton system's diagonal, which has degree-sized entries
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the projection's line search
+_MAX_HALVINGS = 8  # step halvings per solve_gme iteration before it stops
 
 __all__ = [
     "GramMatrix",
@@ -49,7 +56,13 @@ class SketchConfig:
 
 @dataclass(frozen=True)
 class GmeSolverParams:
-    """Caps and tolerances for the projected-gradient solver and its projector."""
+    """Caps and tolerances for the projected-gradient solver and its projector.
+
+    max_iters and tol bound the outer projected-gradient loop (see
+    solve_gme). projection_tol bounds the largest row-sum or column-sum
+    residual of each projection, its only error, and projection_max_iters
+    caps the Newton iterations of one projection.
+    """
 
     max_iters: int = 2000
     tol: float = 1e-10
@@ -139,14 +152,17 @@ def jl_required_dim(m: int, delta: float, eps: float) -> int:
 def project_feasible(
     m: np.ndarray, topology: Topology, params: GmeSolverParams | None = None
 ) -> MixingMatrix:
-    """Euclidean projection onto the feasible polytope by Dykstra's method.
+    """Euclidean projection onto the feasible polytope, exact up to projection_tol.
 
-    Cycles three sets: rows summing to one, columns summing to one, and
-    the clamp set (entrywise nonnegative, zero off the support). The two
-    sum sets are affine so they need no correction term; the clamp set
-    keeps one. Stops when successive iterates differ by at most
-    projection_tol in Frobenius norm; the iterate returned has exact
-    zeros off support and passes validation at 1e-8.
+    The projection of Z is W = max(Z - alpha 1^T - 1 beta^T, 0) on the
+    support and 0 off it, for the row and column multipliers (alpha, beta)
+    at which every row and column of W sums to one. Newton's method finds
+    them from a cold start (see _newton_projection). The result is
+    nonnegative and exactly zero off the support, so its only error is the
+    largest row-sum or column-sum residual, which is at most
+    projection_tol; it passes validation at 1e-8 whenever projection_tol
+    does not exceed that. Raises ArithmeticError, naming the residual, if
+    projection_max_iters Newton steps do not get there.
     """
     if params is None:
         params = GmeSolverParams()
@@ -154,34 +170,80 @@ def project_feasible(
     x = np.array(m, dtype=float)
     if x.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {x.shape}")
-    return MixingMatrix(_dykstra(x, topology.support_mask(), params), sum_atol=1e-8)
+    w, _ = _newton_projection(x, topology.support_mask(), None, params)
+    return MixingMatrix(w, sum_atol=1e-8)
 
 
-def _dykstra(x: np.ndarray, support: np.ndarray, params: GmeSolverParams) -> np.ndarray:
-    """The projection loop on plain arrays.
+def _newton_projection(
+    z: np.ndarray, support: np.ndarray, ab: np.ndarray | None, params: GmeSolverParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The projection on plain arrays: (W, multipliers), started from ab.
 
-    Returns the last iterate clipped to [0, 1], as a MixingMatrix built from
-    it would be, so solves on plain arrays keep their results bit for bit.
+    ab stacks (alpha, beta); None starts from half the mean excess of each
+    row and column over its share 1/degree. Newton's method minimizes the
+    convex dual phi = ||W||^2 / 2 + sum(alpha) + sum(beta), whose gradient
+    is minus the row-sum and column-sum residuals. Its generalized Hessian
+    is the signless Laplacian of the bipartite graph of active entries
+    (rows on one side, columns on the other), which is singular along
+    (1, -1) on every component of the active graph, hence the ridge. An
+    Armijo line search on phi globalizes the steps. It measures the change
+    of phi entry by entry, so that near the solution, where that change is
+    far below the rounding error of phi itself, it still sees descent.
     """
-    n = x.shape[0]
-    q = np.zeros_like(x)
-    prev = None
-    diff = np.inf
-    for _ in range(params.projection_max_iters):
-        x = x - (x.sum(axis=1, keepdims=True) - 1.0) / n
-        x = x - (x.sum(axis=0, keepdims=True) - 1.0) / n
-        y = x + q
-        x = np.where(support, np.maximum(y, 0.0), 0.0)
-        q = y - x
-        if prev is not None:
-            diff = float(np.linalg.norm(x - prev))
-            if diff <= params.projection_tol:
-                return np.clip(x, 0.0, 1.0, out=x)
-        prev = x
+    n = z.shape[0]
+    if ab is None:
+        deg = np.tile(support.sum(axis=1), 2)
+        zs = np.where(support, z, 0.0)
+        ab = (np.concatenate([zs.sum(axis=1), zs.sum(axis=0)]) - 1.0) / (2.0 * deg)
+    diag = np.arange(2 * n)
+    _, w, active, res = _primal(z, support, ab)
+    err = float(np.abs(res).max())
+    for it in range(params.projection_max_iters + 1):
+        if err <= params.projection_tol:
+            return w, ab
+        if it == params.projection_max_iters:
+            break
+        a = active.astype(float)
+        h = np.zeros((2 * n, 2 * n))
+        h[:n, n:] = a
+        h[n:, :n] = a.T
+        h[diag, diag] = np.concatenate([a.sum(axis=1), a.sum(axis=0)]) + _RIDGE
+        d = np.linalg.solve(h, res)
+        slope = float(res @ d)  # minus the directional derivative of phi
+        shift = d[:n, None] + d[None, n:]
+        step = 1.0
+        cand = ab + d
+        while True:
+            t, w_c, active_c, res_c = _primal(z, support, cand)
+            # phi(cand) - phi(ab) is -step * slope plus these terms; an entry
+            # active at both points contributes (step * shift)^2 / 2 exactly
+            u = step * shift
+            quad = np.where(active, 0.5 * u * u - 0.5 * np.minimum(t, 0.0) ** 2,
+                            0.5 * w_c * w_c)
+            if float(quad.sum()) <= (1.0 - _ARMIJO) * step * slope:
+                break
+            step *= 0.5
+            cand = ab + step * d
+            if np.array_equal(cand, ab):
+                raise ArithmeticError(
+                    f"Newton projection line search made no progress (residual {err:.3e})"
+                )
+        ab, w, active, res = cand, w_c, active_c, res_c
+        err = float(np.abs(res).max())
     raise ArithmeticError(
-        f"Dykstra projection did not converge in {params.projection_max_iters} "
-        f"cycles (last change {diff:.3e})"
+        f"Newton projection did not converge in {params.projection_max_iters} "
+        f"iterations (residual {err:.3e})"
     )
+
+
+def _primal(z: np.ndarray, support: np.ndarray, ab: np.ndarray):
+    """Z - alpha - beta at multipliers ab, the W it gives, W's active
+    entries, and W's row then column residuals."""
+    n = z.shape[0]
+    t = z - ab[:n, None] - ab[None, n:]
+    active = support & (t > 0.0)
+    w = np.where(active, t, 0.0)
+    return t, w, active, np.concatenate([w.sum(axis=1), w.sum(axis=0)]) - 1.0
 
 
 def gme_objective(gamma: GramMatrix, w: MixingMatrix) -> float:
@@ -203,10 +265,12 @@ def solve_gme(
 
     Projected gradient descent from init (Metropolis-Hastings when absent)
     with step 1/(2 ||Gamma||_2 + 1e-12). Any objective increase halves the
-    step and retries, so the objective never increases and the result is
-    at least as good as the start. Stops once the per-iteration decrease
+    step and retries, at most _MAX_HALVINGS times per iteration before the
+    solve stops, so the objective never increases and the result is at
+    least as good as the start. Stops once the per-iteration decrease
     drops below tol relative to the starting objective, or at max_iters.
-    A zero Gamma returns the init unchanged.
+    Each projection starts from the multipliers of the one before. A zero
+    Gamma returns the init unchanged.
     """
     if params is None:
         params = GmeSolverParams()
@@ -229,13 +293,16 @@ def solve_gme(
     if f == 0.0:
         return init
     support = topology.support_mask()
+    ab = None
     for _ in range(params.max_iters):
         grad = 2.0 * (g @ w)
-        w_new = _dykstra(w - step * grad, support, params)
+        w_new, ab = _newton_projection(w - step * grad, support, ab, params)
         f_new = _objective(g, w_new)
-        while f_new > f and step > 1e-300:
+        for _ in range(_MAX_HALVINGS):
+            if f_new <= f:
+                break
             step *= 0.5
-            w_new = _dykstra(w - step * grad, support, params)
+            w_new, ab = _newton_projection(w - step * grad, support, ab, params)
             f_new = _objective(g, w_new)
         if f_new > f:
             break

@@ -60,7 +60,6 @@ class RunConfig:
     period: int = 100
     sketch_dim: int = 64
     sketch_seed: int = 0
-    data_seed: int = 0
     noise_seed: int = 0
     alternate: bool = True
     momentum: float = 0.9

@@ -1,8 +1,10 @@
 """Config parsing, the run/compare/check subcommands, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,18 @@ def _write(tmp_path, text, fname="exp.cfg"):
     path = tmp_path / fname
     path.write_text(text)
     return str(path)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reference_adaptive(out, **changes):
+    """configs/random16_adaptive.conf with out and the given keys replaced."""
+    text = (_ROOT / "configs" / "random16_adaptive.conf").read_text()
+    for key, value in dict(out=out, **changes).items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1, key
+    return text
 
 
 # --- parsing -----------------------------------------------------------
@@ -142,6 +156,28 @@ def test_run_reports_divergence(tmp_path, capsys):
         code = cmd_run(_write(tmp_path, text))
     assert code == 3
     assert "diverged at step" in capsys.readouterr().out
+
+
+def test_run_adaptive_on_ring_of_32(tmp_path, capsys):
+    # long rings used to defeat the projection at the first refresh
+    text = _reference_adaptive(tmp_path / "r", topology="ring", n=32, steps=400, reps=1)
+    assert cmd_run(_write(tmp_path, text)) == 0
+    assert "adaptive rep 0: dist_to_opt_w=" in capsys.readouterr().out
+
+
+def test_run_matches_golden_adaptive_csv(tmp_path):
+    """The reference adaptive config at 1 rep and 400 steps, against the CSV
+    the Dykstra-projection solver wrote; solver changes must stay within
+    rtol 1e-6 of it."""
+    text = _reference_adaptive(tmp_path / "g", steps=400, reps=1)
+    assert cmd_run(_write(tmp_path, text)) == 0
+    got = (tmp_path / "g" / "adaptive_rep0.csv").read_text().splitlines()
+    want = (_ROOT / "tests" / "data" / "adaptive16_rep0.csv").read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want) == 401
+    np.testing.assert_allclose(
+        np.loadtxt(got[1:], delimiter=","), np.loadtxt(want[1:], delimiter=","),
+        rtol=1e-6, atol=0.0,
+    )
 
 
 def test_run_with_edge_file_topology(tmp_path):

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from hetmix import gme
 from hetmix.gme import (
     GmeSolverParams,
     GramMatrix,
@@ -17,7 +21,7 @@ from hetmix.gme import (
     solve_gme,
 )
 from hetmix.mixing import MixingMatrix, metropolis_hastings, uniform_averaging, validate
-from hetmix.topology import build_complete, build_ring
+from hetmix.topology import Topology, build_complete, build_random_connected, build_ring
 
 
 # --- oracles -----------------------------------------------------------
@@ -170,6 +174,59 @@ def test_projection_shape_mismatch_and_cap():
                          graph, params)
 
 
+@st.composite
+def _projection_inputs(draw, max_log_scale):
+    """(Z, graph, scale): Gaussian Z of a drawn scale on a ring, complete,
+    star or random connected graph of 2 to 24 nodes."""
+    kind = draw(st.sampled_from(["ring", "complete", "star", "random"]))
+    n = draw(st.integers(3 if kind == "ring" else 2, 24))
+    if kind == "ring":
+        graph = build_ring(n)
+    elif kind == "complete":
+        graph = build_complete(n)
+    elif kind == "star":
+        graph = Topology(n, tuple((0, i) for i in range(1, n)))
+    else:
+        graph = build_random_connected(
+            n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.floats(-8.0, max_log_scale))
+    z = scale * np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((n, n))
+    return z, graph, scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_projection_inputs(max_log_scale=1.0))
+def test_projection_properties(case):
+    z, graph, scale = case
+    n = graph.n
+    support = graph.support_mask()
+    w = project_feasible(z, graph).w
+    assert validate(w, graph, 1e-8) is None
+    residual = max(np.abs(w.sum(axis=0) - 1).max(), np.abs(w.sum(axis=1) - 1).max())
+    assert residual <= GmeSolverParams().projection_tol
+    assert np.all(w[~support] == 0.0)
+    np.testing.assert_allclose(project_feasible(w, graph).w, w, rtol=0, atol=1e-9)
+    # the vertex maximizing <Z - P, V> over permutations inside the support
+    # is where the variational inequality <Z - P, V - P> <= 0 is tightest
+    rows, cols = linear_sum_assignment(np.where(support, w - z, np.inf))
+    assert support[rows, cols].all()
+    vertex = np.zeros((n, n))
+    vertex[rows, cols] = 1.0
+    assert np.sum((z - w) * (vertex - w)) <= 1e-9 * n * (1.0 + scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_projection_inputs(max_log_scale=8.0))
+def test_projection_succeeds_or_raises_arithmetic_error(case):
+    z, graph, _ = case
+    try:
+        w = project_feasible(z, graph).w
+    except ArithmeticError as exc:
+        assert "residual" in str(exc)
+        return
+    assert validate(w, graph, 1e-8) is None
+
+
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         GmeSolverParams(max_iters=0)
@@ -225,6 +282,27 @@ def test_solver_objective_scales_linearly():
     o1 = gme_objective(g1, solve_gme(g1, graph))
     o5 = gme_objective(g5, solve_gme(g5, graph))
     assert o5 == pytest.approx(5.0 * o1, rel=1e-6, abs=1e-12)
+
+
+def test_solver_caps_step_halvings(monkeypatch):
+    """A projection that only ever raises the objective stops the solve
+    after the capped number of halvings, at the init."""
+    rng = np.random.default_rng(22)
+    graph = build_ring(5)
+    gamma = gram(center_columns(rng.standard_normal((4, 5))))
+    init = metropolis_hastings(graph)
+    worse = np.eye(5)
+    assert gme_objective(gamma, MixingMatrix(worse)) > gme_objective(gamma, init)
+    calls = []
+
+    def raising(z, support, ab, params):
+        calls.append(ab)
+        return worse, ab
+
+    monkeypatch.setattr(gme, "_newton_projection", raising)
+    w = solve_gme(gamma, graph, init=init)
+    assert len(calls) == 1 + gme._MAX_HALVINGS
+    assert gme_objective(gamma, w) <= gme_objective(gamma, init)
 
 
 def test_solver_handles_degenerate_grams():
