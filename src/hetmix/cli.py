@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 from .checks import run_checks
 from .mixing import metropolis_hastings, optimal_spectral_gap_weights, pairing_matrix, validate
@@ -95,6 +95,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"line {lineno}: value {sval!r} for {key!r} is not {typ.__name__}"
             ) from exc
+        if typ is float and not isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: value {sval!r} for {key!r} is not finite")
     _validate_values(values)
     # lr_relative is a positive multiple of 1/L, so it stands in for lr here
     _run_config(values, values.get("lr", values.get("lr_relative")))

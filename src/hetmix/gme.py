@@ -8,8 +8,13 @@ supported on the communication graph is a convex QP; it is solved here by
 projected gradient descent, optionally on sketched gradients so nodes only
 exchange k-dimensional summaries. Each projection is exact up to a stated
 row-sum and column-sum residual: Newton's method on the dual in the 2n row
-and column multipliers finds it, warm-started from the previous projection
-within a solve.
+and column multipliers finds it, warm-started within a solve from the
+multipliers it found last. Successive projections of a solve mostly share their
+active set (the support entries where W > 0), on which the projection is
+an affine map of its input. The solver caches that map for the last
+active set Newton found, and accepts its output only where it passes the
+projection's optimality conditions, so Newton runs only when the active
+set changes.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .topology import Topology
 _RIDGE = 1e-10  # added to the Newton system's diagonal, which has degree-sized entries
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the projection's line search
 _MAX_HALVINGS = 8  # step halvings per solve_gme iteration before it stops
+# Newton iterations without a new smallest residual before a projection gives
+# up; converging cold starts at input scales up to 1e8 went at most 35 without
+_STALL_ITERS = 50
 
 __all__ = [
     "GramMatrix",
@@ -162,7 +170,9 @@ def project_feasible(
     largest row-sum or column-sum residual, which is at most
     projection_tol; it passes validation at 1e-8 whenever projection_tol
     does not exceed that. Raises ArithmeticError, naming the residual, if
-    projection_max_iters Newton steps do not get there.
+    projection_max_iters Newton steps do not get there, or if the residual
+    sets no new minimum in _STALL_ITERS consecutive steps, as where its
+    rounding floor lies above projection_tol.
     """
     if params is None:
         params = GmeSolverParams()
@@ -197,7 +207,8 @@ def _newton_projection(
         ab = (np.concatenate([zs.sum(axis=1), zs.sum(axis=0)]) - 1.0) / (2.0 * deg)
     diag = np.arange(2 * n)
     _, w, active, res = _primal(z, support, ab)
-    err = float(np.abs(res).max())
+    err = best = float(np.abs(res).max())
+    stalled = 0
     for it in range(params.projection_max_iters + 1):
         if err <= params.projection_tol:
             return w, ab
@@ -230,6 +241,15 @@ def _newton_projection(
                 )
         ab, w, active, res = cand, w_c, active_c, res_c
         err = float(np.abs(res).max())
+        if err < best:
+            best, stalled = err, 0
+            continue
+        stalled += 1
+        if stalled == _STALL_ITERS:
+            raise ArithmeticError(
+                f"Newton projection stalled at residual {best:.3e} "
+                f"(no smaller residual in {_STALL_ITERS} iterations)"
+            )
     raise ArithmeticError(
         f"Newton projection did not converge in {params.projection_max_iters} "
         f"iterations (residual {err:.3e})"
@@ -246,13 +266,68 @@ def _primal(z: np.ndarray, support: np.ndarray, ab: np.ndarray):
     return t, w, active, np.concatenate([w.sum(axis=1), w.sum(axis=0)]) - 1.0
 
 
+class _Face:
+    """The projection on one active set A, where it is affine in Z.
+
+    E maps the multipliers (alpha, beta) to alpha_i + beta_j on each
+    support entry (i, j). With A fixed, the unit row and column sums give
+    (E_A^T E_A) ab = E_A^T Z_A - 1, so Z - alpha - beta on the support is
+    Z - M Z_A + c with M = E P^+ E_A^T, c = E P^+ 1 and P^+ the
+    pseudo-inverse of E_A^T E_A (a ridge in its place leaks about 1e-6
+    through P's null space). That null space, one (1, -1) direction per
+    component of the active graph, leaves W unchanged but moves alpha +
+    beta between components. So off A, c keeps the null-space part of the
+    multipliers ab that Newton's method found for A; without them (None),
+    the minimum-norm multipliers may fail the check where Newton's pass.
+    Rows run over A first, then the rest of the support.
+    """
+
+    def __init__(
+        self, active: np.ndarray, support: np.ndarray, ab: np.ndarray | None, tol: float
+    ) -> None:
+        n = support.shape[0]
+        self.n, self.tol = n, tol
+        self.active = np.flatnonzero(active)
+        self.order = np.concatenate([self.active, np.flatnonzero(support & ~active)])
+        rows, cols = np.divmod(self.order, n)
+        e = np.zeros((self.order.size, 2 * n))
+        entry = np.arange(self.order.size)
+        e[entry, rows] = 1.0
+        e[entry, n + cols] = 1.0
+        self.sums = e[: self.active.size].T  # W_A to its row then column sums
+        p = self.sums @ self.sums.T
+        pinv = np.linalg.pinv(p, hermitian=True)
+        ep = e @ pinv
+        self.m = ep @ self.sums
+        self.c = ep.sum(axis=1)
+        if ab is not None:
+            self.c[self.active.size:] -= e[self.active.size:] @ (ab - p @ (pinv @ ab))
+
+    def apply(self, z: np.ndarray) -> np.ndarray | None:
+        """The projection of z if A is its active set, else None.
+
+        A is z's active set exactly when the affine W is positive on A,
+        Z - alpha - beta is at most 0 on the rest of the support, and W's
+        row and column sums are within tol of one: the conditions that
+        make W the projection, as Newton's residual check does.
+        """
+        k = self.active.size
+        zo = z.take(self.order)
+        out = zo - self.m @ zo[:k] + self.c
+        wa = out[:k]
+        # negated tests, so that a NaN fails them
+        if not (wa.min() > 0.0 and out[k:].max(initial=0.0) <= 0.0):
+            return None
+        if not np.abs(self.sums @ wa - 1.0).max() <= self.tol:
+            return None
+        w = np.zeros(self.n * self.n)
+        w[self.active] = wa
+        return w.reshape(self.n, self.n)
+
+
 def gme_objective(gamma: GramMatrix, w: MixingMatrix) -> float:
     """Tr[W^T Gamma W], the gradient mixing error in Gram form."""
-    return _objective(gamma.gamma, w.w)
-
-
-def _objective(g: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * (g @ w)))
+    return float(np.sum(w.w * (gamma.gamma @ w.w)))
 
 
 def solve_gme(
@@ -269,8 +344,16 @@ def solve_gme(
     solve stops, so the objective never increases and the result is at
     least as good as the start. Stops once the per-iteration decrease
     drops below tol relative to the starting objective, or at max_iters.
-    Each projection starts from the multipliers of the one before. A zero
-    Gamma returns the init unchanged.
+    Each projection first tries the affine map of the last active set
+    Newton's method found (see _Face), which costs one matrix-vector
+    product. Its output is accepted only if it satisfies the projection's
+    optimality conditions: positive on that active set, Z - alpha - beta
+    at most 0 on the rest of the support, and row and column sums within
+    projection_tol of one. Otherwise Newton's method projects, warm-started
+    from the last multipliers it found, and its active set replaces the
+    cached one. Gamma W is computed once per iterate, for both the
+    objective and the next gradient. A zero Gamma returns the init
+    unchanged.
     """
     if params is None:
         params = GmeSolverParams()
@@ -288,26 +371,30 @@ def solve_gme(
         return init
     step = 1.0 / (2.0 * lam + 1e-12)
     w = init.w.copy()
-    f = _objective(g, w)
+    gw = g @ w
+    f = float((w * gw).sum())
     floor = params.tol * max(f, 1e-300)
     if f == 0.0:
         return init
     support = topology.support_mask()
-    ab = None
+    ab, face = None, None
     for _ in range(params.max_iters):
-        grad = 2.0 * (g @ w)
-        w_new, ab = _newton_projection(w - step * grad, support, ab, params)
-        f_new = _objective(g, w_new)
-        for _ in range(_MAX_HALVINGS):
+        grad = 2.0 * gw
+        for _ in range(1 + _MAX_HALVINGS):
+            z = w - step * grad
+            w_new = None if face is None else face.apply(z)
+            if w_new is None:
+                w_new, ab = _newton_projection(z, support, ab, params)
+                face = _Face(w_new > 0.0, support, ab, params.projection_tol)
+            gw_new = g @ w_new
+            f_new = float((w_new * gw_new).sum())
             if f_new <= f:
                 break
             step *= 0.5
-            w_new, ab = _newton_projection(w - step * grad, support, ab, params)
-            f_new = _objective(g, w_new)
         if f_new > f:
             break
         drop = f - f_new
-        w, f = w_new, f_new
+        w, gw, f = w_new, gw_new, f_new
         if drop <= floor:
             break
     return MixingMatrix(w, sum_atol=1e-8)

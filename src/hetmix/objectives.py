@@ -100,8 +100,8 @@ def _draw_nodes(rng: np.random.Generator, count: int, m: int, d: int):
 
 
 def _build(a: np.ndarray, b: np.ndarray, noise_std: float) -> Problem:
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     x_star = _solve_optimum(a, b)
     smooth = 2.0 * max(top_eigenvalue(h) for h in _hessians(a))
     x_star.flags.writeable = False

@@ -1,5 +1,6 @@
 """Config parsing, the run/compare/check subcommands, and exit codes."""
 
+import math
 import os
 import re
 import subprocess
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetmix
 from hetmix.cli import (
     ConfigError,
+    ExperimentConfig,
     cmd_check,
     cmd_compare,
     cmd_run,
@@ -90,6 +94,10 @@ def test_serialize_round_trips():
         ("momentum = 1.5", "momentum"),
         ("keep_fraction = 0", "keep_fraction"),
         ("seed = -1", "seed must be"),
+        ("noise_var = nan", "'noise_var' is not finite"),
+        ("lr = nan", "'lr' is not finite"),
+        ("lr = inf", "'lr' is not finite"),
+        ("lr_relative = nan", "'lr_relative' is not finite"),
     ],
 )
 def test_parse_rejects_bad_lines(mutation, fragment):
@@ -121,6 +129,35 @@ def test_parse_rejects_missing_required_and_structural_gaps():
             "objective = random", "objective = two_class"))
 
 
+@st.composite
+def _mutated_reference(draw):
+    """configs/random16_adaptive.conf with one line replaced: by any text,
+    by nothing, or by its key with any text, a float, an int or an edge
+    value as its value."""
+    lines = (_ROOT / "configs" / "random16_adaptive.conf").read_text().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    key = lines[i].partition("=")[0].strip()
+    edge = ["nan", "-inf", "inf", "1e999", "0", "-1", "0.5", "false"]
+    lines[i] = draw(st.one_of(
+        st.text(),
+        st.just(""),
+        st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
+                  st.sampled_from(edge)).map(lambda v: f"{key} = {v}"),
+    ))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), _mutated_reference()))
+def test_parse_accepts_or_raises_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert all(math.isfinite(v) for v in cfg.values.values() if isinstance(v, float))
+
+
 # --- run ---------------------------------------------------------------
 
 def test_run_writes_deterministic_csvs(tmp_path, capsys):
@@ -145,6 +182,14 @@ def test_run_reports_config_errors(tmp_path, capsys):
     assert code == 2
     assert "junk" in capsys.readouterr().out
     assert cmd_run(str(tmp_path / "missing.cfg")) == 2
+
+
+@pytest.mark.parametrize("line", ["noise_var = nan", "lr_relative = inf"])
+def test_run_rejects_non_finite_floats(tmp_path, capsys, line):
+    key = line.split(" =")[0]
+    text = re.sub(rf"(?m)^{key} = .*$", line, _BASE.format(out=tmp_path / "f"))
+    assert cmd_run(_write(tmp_path, text)) == 2
+    assert f"{key!r} is not finite" in capsys.readouterr().out
 
 
 def test_run_reports_divergence(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Centering, Gram matrices, sketching, projection, and the QP solver."""
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -225,6 +227,45 @@ def test_projection_succeeds_or_raises_arithmetic_error(case):
         assert "residual" in str(exc)
         return
     assert validate(w, graph, 1e-8) is None
+
+
+def test_projection_stall_raises_quickly():
+    """At scale 1.2e6 the rounding floor of the sums lies above
+    projection_tol; the projection gives up once its residual stops
+    falling instead of running out its 5000 iterations."""
+    graph = build_random_connected(21, 0.5, 5)
+    z = 1.2e6 * np.random.default_rng(5).standard_normal((21, 21))
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="stalled at residual"):
+        project_feasible(z, graph)
+    assert time.perf_counter() - start < 0.05
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_projection_inputs(max_log_scale=1.0))
+def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
+    z, graph, scale = case
+    n = graph.n
+    support, params = graph.support_mask(), GmeSolverParams()
+    w, ab = gme._newton_projection(z, support, None, params)  # as project_feasible
+    # where an entry of Z - alpha - beta is 0 within the projection's
+    # error, rounding may put the face's value on the wrong side of 0, and
+    # then it rightly declines; such ties are common off A when the active
+    # graph has several components, as the multipliers are then not unique
+    t = z - ab[:n, None] - ab[None, n:]
+    assume(np.abs(t[support]).min() > 1e-9 * (1.0 + scale))
+    face = gme._Face(w > 0.0, support, ab, params.projection_tol)
+    got = face.apply(z)
+    assert got is not None
+    np.testing.assert_allclose(got, w, rtol=0, atol=1e-9 * (1.0 + scale))
+    # lowering Z at active entry k by s lowers the face's Z - alpha - beta
+    # there by s (1 - M_kk), which is 0 where A's graph is a forest
+    slack = 1.0 - np.diag(face.m)[: face.active.size]
+    k = int(np.argmax(slack))
+    assume(slack[k] > 1e-3)
+    moved = z.copy()
+    moved.flat[face.active[k]] -= (got.flat[face.active[k]] + 1.0) / slack[k]
+    assert face.apply(moved) is None
 
 
 def test_solver_params_validation():

@@ -91,6 +91,12 @@ def test_random_quadratics_rejects_underdetermined():
         make_random_quadratics(2, 3, 1, seed=0)
 
 
+@pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf")])
+def test_random_quadratics_rejects_bad_noise_std(noise_std):
+    with pytest.raises(ValueError, match="noise_std"):
+        make_random_quadratics(3, 2, seed=0, noise_std=noise_std)
+
+
 def test_global_optimum_matches_cached():
     p = make_random_quadratics(4, 6, seed=2)
     assert np.linalg.norm(global_optimum(p) - p.x_star) < 1e-9
