@@ -24,14 +24,10 @@ from .mixing import (
     MixingMatrix,
     Violation,
     compose,
-    consensus_factor,
     deviation_operator_norm,
-    load_matrix,
     metropolis_hastings,
     optimal_spectral_gap_weights,
     pairing_matrix,
-    save_matrix,
-    spectral_gap,
     uniform_averaging,
     uniform_clique_averaging,
     validate,
@@ -62,7 +58,6 @@ from .topology import (
     CliquePartition,
     Topology,
     build_complete,
-    build_from_cliques,
     build_random_connected,
     build_ring,
     build_torus,

@@ -262,10 +262,7 @@ def cmd_run(config_path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
-    except DivergenceError as exc:
-        print(f"numeric failure: {exc}")
-        return 3
-    except ArithmeticError as exc:
+    except (DivergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}")
         return 3
     return 0

@@ -10,9 +10,10 @@ exchange k-dimensional summaries. Each projection is exact up to a stated
 row-sum and column-sum residual: Newton's method on the dual in the 2n row
 and column multipliers finds it, warm-started within a solve from the
 multipliers it found last. Successive projections of a solve mostly share their
-active set (the support entries where W > 0), on which the projection is
-an affine map of its input. The solver caches that map for the last
-active set Newton found, and accepts its output only where it passes the
+active set (the support entries where W > 0), on which the multipliers,
+and so the projection, are affine in the input's entries on that set. The
+solver caches that map to the 2n multipliers for the last active set
+Newton found, and accepts its output only where it passes the
 projection's optimality conditions, so Newton runs only when the active
 set changes.
 """
@@ -214,11 +215,8 @@ def _newton_projection(
             return w, ab
         if it == params.projection_max_iters:
             break
-        a = active.astype(float)
-        h = np.zeros((2 * n, 2 * n))
-        h[:n, n:] = a
-        h[n:, :n] = a.T
-        h[diag, diag] = np.concatenate([a.sum(axis=1), a.sum(axis=0)]) + _RIDGE
+        h = _hessian(active)
+        h[diag, diag] += _RIDGE
         d = np.linalg.solve(h, res)
         slope = float(res @ d)  # minus the directional derivative of phi
         shift = d[:n, None] + d[None, n:]
@@ -266,63 +264,74 @@ def _primal(z: np.ndarray, support: np.ndarray, ab: np.ndarray):
     return t, w, active, np.concatenate([w.sum(axis=1), w.sum(axis=0)]) - 1.0
 
 
+def _hessian(active: np.ndarray) -> np.ndarray:
+    """P = E_A^T E_A, for E_A the 0/1 map from the multipliers (alpha, beta)
+    to alpha_i + beta_j on each active entry (i, j): the signless Laplacian
+    of the bipartite graph of A, and the projection dual's Hessian."""
+    n = active.shape[0]
+    a = active.astype(float)
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, n:] = a
+    h[n:, :n] = a.T
+    diag = np.arange(2 * n)
+    h[diag, diag] = np.concatenate([a.sum(axis=1), a.sum(axis=0)])
+    return h
+
+
 class _Face:
     """The projection on one active set A, where it is affine in Z.
 
-    E maps the multipliers (alpha, beta) to alpha_i + beta_j on each
-    support entry (i, j). With A fixed, the unit row and column sums give
-    (E_A^T E_A) ab = E_A^T Z_A - 1, so Z - alpha - beta on the support is
-    Z - M Z_A + c with M = E P^+ E_A^T, c = E P^+ 1 and P^+ the
-    pseudo-inverse of E_A^T E_A (a ridge in its place leaks about 1e-6
-    through P's null space). That null space, one (1, -1) direction per
-    component of the active graph, leaves W unchanged but moves alpha +
-    beta between components. So off A, c keeps the null-space part of the
-    multipliers ab that Newton's method found for A; without them (None),
-    the minimum-norm multipliers may fail the check where Newton's pass.
-    Rows run over A first, then the rest of the support.
+    With A fixed, the unit row and column sums give P ab = E_A^T Z_A - 1
+    (see _hessian), so the multipliers are ab = K^T Z_A + c, with
+    K = E_A P^+ (|A| by 2n; row k sums the rows i_k and n + j_k of P^+),
+    c = -P^+ 1 plus a null-space part, and P^+ the pseudo-inverse (a ridge
+    in its place leaks about 1e-6 through P's null space). That null
+    space, one (1, -1) direction per component of the active graph,
+    leaves W unchanged but moves alpha + beta between components, and so
+    moves Z - alpha - beta off A. So c keeps the null-space part of the
+    multipliers ab that Newton's method found for A. Without them (None)
+    the minimum-norm multipliers may fail the check where Newton's pass:
+    on a complete graph of 3 nodes whose projection is the identity, the
+    face then rejected the very input it was built from.
     """
 
-    def __init__(
-        self, active: np.ndarray, support: np.ndarray, ab: np.ndarray | None, tol: float
-    ) -> None:
+    def __init__(self, active: np.ndarray, support: np.ndarray, ab: np.ndarray | None) -> None:
         n = support.shape[0]
-        self.n, self.tol = n, tol
+        self.n = n
         self.active = np.flatnonzero(active)
-        self.order = np.concatenate([self.active, np.flatnonzero(support & ~active)])
-        rows, cols = np.divmod(self.order, n)
-        e = np.zeros((self.order.size, 2 * n))
-        entry = np.arange(self.order.size)
-        e[entry, rows] = 1.0
-        e[entry, n + cols] = 1.0
-        self.sums = e[: self.active.size].T  # W_A to its row then column sums
-        p = self.sums @ self.sums.T
+        self.rest = np.flatnonzero(support & ~active)
+        rows, cols = np.divmod(self.active, n)
+        entry = np.arange(self.active.size)
+        self.sums = np.zeros((2 * n, self.active.size))  # E_A^T, W_A to its row then column sums
+        self.sums[rows, entry] = 1.0
+        self.sums[n + cols, entry] = 1.0
+        p = _hessian(active)
         pinv = np.linalg.pinv(p, hermitian=True)
-        ep = e @ pinv
-        self.m = ep @ self.sums
-        self.c = ep.sum(axis=1)
+        self.k = pinv[rows] + pinv[n + cols]
+        self.c = -pinv.sum(axis=1)
         if ab is not None:
-            self.c[self.active.size:] -= e[self.active.size:] @ (ab - p @ (pinv @ ab))
+            self.c += ab - p @ (pinv @ ab)
 
-    def apply(self, z: np.ndarray) -> np.ndarray | None:
+    def apply(self, z: np.ndarray, tol: float) -> np.ndarray | None:
         """The projection of z if A is its active set, else None.
 
-        A is z's active set exactly when the affine W is positive on A,
-        Z - alpha - beta is at most 0 on the rest of the support, and W's
-        row and column sums are within tol of one: the conditions that
+        A is z's active set exactly when W = Z - alpha - beta is positive
+        on A, Z - alpha - beta is at most 0 on the rest of the support, and
+        W's row and column sums are within tol of one: the conditions that
         make W the projection, as Newton's residual check does.
         """
-        k = self.active.size
-        zo = z.take(self.order)
-        out = zo - self.m @ zo[:k] + self.c
-        wa = out[:k]
+        n = self.n
+        ab = z.take(self.active) @ self.k + self.c
+        t = z - ab[:n, None] - ab[None, n:]
+        wa = t.take(self.active)
         # negated tests, so that a NaN fails them
-        if not (wa.min() > 0.0 and out[k:].max(initial=0.0) <= 0.0):
+        if not (wa.min() > 0.0 and t.take(self.rest).max(initial=0.0) <= 0.0):
             return None
-        if not np.abs(self.sums @ wa - 1.0).max() <= self.tol:
+        if not np.abs(self.sums @ wa - 1.0).max() <= tol:
             return None
-        w = np.zeros(self.n * self.n)
+        w = np.zeros(n * n)
         w[self.active] = wa
-        return w.reshape(self.n, self.n)
+        return w.reshape(n, n)
 
 
 def gme_objective(gamma: GramMatrix, w: MixingMatrix) -> float:
@@ -344,16 +353,16 @@ def solve_gme(
     solve stops, so the objective never increases and the result is at
     least as good as the start. Stops once the per-iteration decrease
     drops below tol relative to the starting objective, or at max_iters.
-    Each projection first tries the affine map of the last active set
-    Newton's method found (see _Face), which costs one matrix-vector
-    product. Its output is accepted only if it satisfies the projection's
-    optimality conditions: positive on that active set, Z - alpha - beta
-    at most 0 on the rest of the support, and row and column sums within
-    projection_tol of one. Otherwise Newton's method projects, warm-started
-    from the last multipliers it found, and its active set replaces the
-    cached one. Gamma W is computed once per iterate, for both the
-    objective and the next gradient. A zero Gamma returns the init
-    unchanged.
+    Each projection first tries the affine map of the last active set A
+    Newton's method found (see _Face), which costs two matrix-vector
+    products of size |A| by 2n. Its output is accepted only if it
+    satisfies the projection's optimality conditions: positive on A,
+    Z - alpha - beta at most 0 on the rest of the support, and row and
+    column sums within projection_tol of one. Otherwise Newton's method
+    projects, warm-started from the last multipliers it found, and its
+    active set replaces the cached one. Gamma W is computed once per
+    iterate, for both the objective and the next gradient. A zero Gamma
+    returns the init unchanged.
     """
     if params is None:
         params = GmeSolverParams()
@@ -382,10 +391,10 @@ def solve_gme(
         grad = 2.0 * gw
         for _ in range(1 + _MAX_HALVINGS):
             z = w - step * grad
-            w_new = None if face is None else face.apply(z)
+            w_new = None if face is None else face.apply(z, params.projection_tol)
             if w_new is None:
                 w_new, ab = _newton_projection(z, support, ab, params)
-                face = _Face(w_new > 0.0, support, ab, params.projection_tol)
+                face = _Face(w_new > 0.0, support, ab)
             gw_new = g @ w_new
             f_new = float((w_new * gw_new).sum())
             if f_new <= f:

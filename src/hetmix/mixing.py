@@ -18,13 +18,9 @@ __all__ = [
     "uniform_averaging",
     "pairing_matrix",
     "deviation_operator_norm",
-    "consensus_factor",
-    "spectral_gap",
     "compose",
     "optimal_spectral_gap_weights",
     "validate",
-    "save_matrix",
-    "load_matrix",
 ]
 
 _RANGE_CLAMP = 1e-12
@@ -185,16 +181,6 @@ def deviation_operator_norm(
     return sqrt(top_eigenvalue(a.T @ a, tol=tol, max_iters=max_iters))
 
 
-def consensus_factor(w: MixingMatrix) -> float:
-    """p = 1 - ||W - J||_2^2, the per-step consensus contraction factor."""
-    return 1.0 - deviation_operator_norm(w) ** 2
-
-
-def spectral_gap(w: MixingMatrix) -> float:
-    """1 - ||W - J||_2, the unsquared companion of consensus_factor."""
-    return 1.0 - deviation_operator_norm(w)
-
-
 def compose(a: MixingMatrix, b: MixingMatrix) -> MixingMatrix:
     """Matrix product a @ b; double stochasticity is closed under products.
 
@@ -242,31 +228,3 @@ def optimal_spectral_gap_weights(
         w = project_feasible(w - (step0 / sqrt(k + 1)) * grad, topology).w
         w = (w + w.T) / 2.0
     return MixingMatrix(best_w, sum_atol=1e-8)
-
-
-def save_matrix(w: MixingMatrix, path) -> None:
-    """Write the text dump: a line with n, then n rows of 17-significant-digit floats."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{w.n}\n")
-        for row in w.w:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_matrix(path) -> MixingMatrix:
-    """Read a dump written by save_matrix; 17 digits round-trip float64 exactly."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix file")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [float(tok) for tok in ln.split()]
-        if len(row) != n:
-            raise ValueError(f"expected {n} entries per row, got {len(row)}")
-        rows.append(row)
-    # saved matrices may come from the numerical projector, whose sums
-    # are 1e-8-accurate
-    return MixingMatrix(np.array(rows), sum_atol=1e-8)

@@ -20,7 +20,6 @@ __all__ = [
     "build_torus",
     "build_complete",
     "build_random_connected",
-    "build_from_cliques",
     "load_edge_list",
     "save_edge_list",
 ]
@@ -192,38 +191,6 @@ def build_random_connected(n: int, keep_fraction: float, seed: int) -> Topology:
             nbrs[j].add(i)
     edges = tuple((i, int(j)) for i in range(n) for j in nbrs[i] if i < j)
     return Topology(n, edges)
-
-
-def build_from_cliques(
-    partition: CliquePartition, inter_edges=()
-) -> Topology:
-    """Complete subgraph on each clique, plus the given inter-clique edges.
-
-    Args:
-        partition: the clique structure; cliques become complete subgraphs.
-        inter_edges: extra (i, j) pairs, each joining two different cliques.
-
-    Raises:
-        ValueError: if an inter-edge stays inside one clique, or the
-            result is not connected.
-    """
-    clique_of = {}
-    for k, clique in enumerate(partition.cliques):
-        for i in clique:
-            clique_of[i] = k
-    edges = set()
-    for clique in partition.cliques:
-        for a in range(len(clique)):
-            for b in range(a + 1, len(clique)):
-                edges.add((clique[a], clique[b]))
-    for i, j in inter_edges:
-        i, j = int(i), int(j)
-        if i not in clique_of or j not in clique_of:
-            raise ValueError(f"inter-edge ({i}, {j}) uses an unknown node")
-        if clique_of[i] == clique_of[j]:
-            raise ValueError(f"inter-edge ({i}, {j}) stays inside one clique")
-        edges.add((min(i, j), max(i, j)))
-    return Topology(partition.n, tuple(edges))
 
 
 def save_edge_list(topology: Topology, path) -> None:

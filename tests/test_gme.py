@@ -23,7 +23,13 @@ from hetmix.gme import (
     solve_gme,
 )
 from hetmix.mixing import MixingMatrix, metropolis_hastings, uniform_averaging, validate
-from hetmix.topology import Topology, build_complete, build_random_connected, build_ring
+from hetmix.topology import (
+    Topology,
+    build_complete,
+    build_random_connected,
+    build_ring,
+    build_torus,
+)
 
 
 # --- oracles -----------------------------------------------------------
@@ -254,18 +260,59 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     # graph has several components, as the multipliers are then not unique
     t = z - ab[:n, None] - ab[None, n:]
     assume(np.abs(t[support]).min() > 1e-9 * (1.0 + scale))
-    face = gme._Face(w > 0.0, support, ab, params.projection_tol)
-    got = face.apply(z)
+    face = gme._Face(w > 0.0, support, ab)
+    got = face.apply(z, params.projection_tol)
     assert got is not None
     np.testing.assert_allclose(got, w, rtol=0, atol=1e-9 * (1.0 + scale))
-    # lowering Z at active entry k by s lowers the face's Z - alpha - beta
-    # there by s (1 - M_kk), which is 0 where A's graph is a forest
-    slack = 1.0 - np.diag(face.m)[: face.active.size]
+    # lowering Z at active entry k = (i, j) by s lowers the face's
+    # Z - alpha - beta there by s (1 - K[k, i] - K[k, n + j]), which is 0
+    # where A's graph is a forest
+    rows, cols = np.divmod(face.active, n)
+    entry = np.arange(face.active.size)
+    slack = 1.0 - (face.k[entry, rows] + face.k[entry, n + cols])
     k = int(np.argmax(slack))
     assume(slack[k] > 1e-3)
     moved = z.copy()
     moved.flat[face.active[k]] -= (got.flat[face.active[k]] + 1.0) / slack[k]
-    assert face.apply(moved) is None
+    assert face.apply(moved, params.projection_tol) is None
+
+
+@st.composite
+def _solve_inputs(draw):
+    """(G, graph): 10-by-n Gaussian gradients of a drawn scale on a ring,
+    complete, star, random connected or torus graph of 3 to 32 nodes."""
+    kind = draw(st.sampled_from(["ring", "complete", "star", "random", "torus"]))
+    if kind == "torus":
+        rows = draw(st.integers(3, 10))
+        graph = build_torus(rows, draw(st.integers(3, 32 // rows)))
+    else:
+        n = draw(st.integers(3, 32))
+        if kind == "ring":
+            graph = build_ring(n)
+        elif kind == "complete":
+            graph = build_complete(n)
+        elif kind == "star":
+            graph = Topology(n, tuple((0, i) for i in range(1, n)))
+        else:
+            graph = build_random_connected(
+                n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return scale * rng.standard_normal((10, graph.n)), graph
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_solve_inputs())
+def test_solve_with_the_face_matches_newton_alone(case):
+    """The face only replaces Newton's projection where it reproduces it, so
+    a solve takes the same path with it as with Newton alone."""
+    g, graph = case
+    cfg, params = SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300)
+    w = ce_gme(g, graph, cfg, params).w
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gme._Face, "apply", lambda self, z, tol: None)
+        newton = ce_gme(g, graph, cfg, params).w
+    np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
 
 
 def test_solver_params_validation():

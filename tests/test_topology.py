@@ -9,7 +9,6 @@ from hetmix.topology import (
     CliquePartition,
     Topology,
     build_complete,
-    build_from_cliques,
     build_random_connected,
     build_ring,
     build_torus,
@@ -177,17 +176,6 @@ def test_clique_partition_rejects_overlap_and_gaps():
         CliquePartition(((0, 1), (3,)))
     with pytest.raises(ValueError):
         CliquePartition(())
-
-
-def test_build_from_cliques():
-    p = CliquePartition(((0, 1, 2), (3, 4, 5)))
-    g = build_from_cliques(p, inter_edges=((2, 3),))
-    expected = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)}
-    assert set(g.edges) == expected
-    with pytest.raises(ValueError, match="inside one clique"):
-        build_from_cliques(p, inter_edges=((0, 1), (2, 3)))
-    with pytest.raises(ValueError, match="connected"):
-        build_from_cliques(p)
 
 
 # --- file format -------------------------------------------------------
