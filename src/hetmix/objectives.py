@@ -65,10 +65,13 @@ class Problem:
     def d(self) -> int:
         return self.a.shape[2]
 
-    def loss(self, x: np.ndarray) -> float:
-        r = self.a @ x + self.b
-        # per-node values summed in node order, as floats, for reproducible bits
-        return sum((r[:, None, :] @ r[:, :, None]).ravel().tolist()) / self.n
+    def loss(self, x: np.ndarray) -> float | np.ndarray:
+        """Average objective at a point x of shape (d,), or at each row of a (T, d) stack."""
+        x = np.asarray(x, dtype=float)
+        r = (self.a[:, None] @ np.atleast_2d(x)[:, :, None])[..., 0] + self.b[:, None]
+        # per-node values summed in node order, for reproducible bits
+        total = sum((r[..., None, :] @ r[..., :, None])[..., 0, 0]) / self.n
+        return float(total[0]) if x.ndim == 1 else total
 
 
 def _hessians(a: np.ndarray) -> np.ndarray:

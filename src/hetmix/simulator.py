@@ -3,6 +3,10 @@
 All variants share the update skeleton X <- (X - eta U) W applied as a
 right multiplication, starting from X = 0, with metrics recorded before
 each update from the step's own state, gradients, and applied matrix.
+
+The step loop makes no metric reduction: it buffers each step's X, G and
+G Wg, and the five metrics of every _CHUNK steps are computed together,
+with batched reductions that keep the bits of their per-step forms.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ _CSV_HEADER = (
     "dist_to_opt_w,consensus_w,gme_w"
 )
 
+_CSV_ROW = "%d" + ",%.10g" * 8 + "\n"
+
 _DIVERGE_LIMIT = 1e100
+
+_CHUNK = 64  # steps buffered between metric passes
 
 
 class DivergenceError(RuntimeError):
@@ -115,15 +123,14 @@ class MetricsLog:
 
     def write_csv(self, path) -> None:
         """10-significant-digit CSV with LF endings and a fixed header."""
+        cols = (
+            self.step, self.dist_to_opt, self.dist_to_opt_mean, self.consensus,
+            self.gme, self.loss, self.dist_to_opt_w, self.consensus_w, self.gme_w,
+        )
+        rows = zip(*(c.tolist() for c in cols))
         with open(path, "w", newline="\n") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for t in range(len(self.step)):
-                vals = (
-                    self.dist_to_opt[t], self.dist_to_opt_mean[t], self.consensus[t],
-                    self.gme[t], self.loss[t], self.dist_to_opt_w[t],
-                    self.consensus_w[t], self.gme_w[t],
-                )
-                fh.write(f"{int(self.step[t])}," + ",".join(f"{v:.10g}" for v in vals) + "\n")
+            fh.writelines(_CSV_ROW % row for row in rows)
 
 
 def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
@@ -131,6 +138,25 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     t = np.arange(len(v))
     lo = np.maximum(0, t - window + 1)
     return (csum[t + 1] - csum[lo]) / (t - lo + 1)
+
+
+def _chunk_metrics(problem: Problem, x, g, gw, cols: dict, lo: int) -> None:
+    """Fill cols[lo:lo + T] from T buffered steps: states x, gradients g, and g @ Wg.
+
+    Each line is the per-step formula with a leading step axis, reducing
+    along the same axis in the same order, so the values keep their bits.
+    """
+    steps, _, n = x.shape
+    hi = lo + steps
+    mean = x.mean(axis=2, keepdims=True)
+    dev = x - problem.x_star[:, None]
+    v = mean[:, :, 0] - problem.x_star
+    cols["dist_to_opt"][lo:hi] = np.linalg.norm(dev, axis=1).mean(axis=1)
+    cols["dist_to_opt_mean"][lo:hi] = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    cols["consensus"][lo:hi] = np.sum(((x - mean) ** 2).reshape(steps, -1), axis=1) / n
+    gap = gw - g.mean(axis=2, keepdims=True)
+    cols["gme"][lo:hi] = np.sum((gap**2).reshape(steps, -1), axis=1)
+    cols["loss"][lo:hi] = problem.loss(mean[:, :, 0])
 
 
 def _simulate(
@@ -142,6 +168,14 @@ def _simulate(
     exact_gradients: bool = False,
     record_trace: bool = False,
 ) -> MetricsLog:
+    """Run X <- X Wp - eta U Wg for cfg.steps steps and return the metrics.
+
+    A step draws the gradients G, takes the direction U (G itself unless
+    direction_for_step replaces it) and the matrices (Wp, Wg), and updates
+    X. It computes G Wg once, for the gme metric and, when U is G, for the
+    update. Its X, G and G Wg go into buffers of _CHUNK steps, which
+    _chunk_metrics reduces every _CHUNK steps and after the last step.
+    """
     d, n = problem.d, topology.n
     if problem.n != n:
         raise ValueError(f"problem has {problem.n} nodes but graph has {n}")
@@ -153,9 +187,10 @@ def _simulate(
         )
     x = np.zeros((d, n))
     rng = np.random.default_rng(cfg.noise_seed)
-    x_star = problem.x_star.reshape(-1, 1)
     cols = {name: np.empty(cfg.steps) for name in
             ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")}
+    size = min(_CHUNK, cfg.steps)
+    xs, gs, gws = (np.empty((size, d, n)) for _ in range(3))
     trace = Trace(lr=cfg.lr, x=[x.copy()]) if record_trace else None
     for t in range(cfg.steps):
         if exact_gradients:
@@ -164,21 +199,22 @@ def _simulate(
             g = stochastic_gradients(problem, x, rng)
         u = g if direction_for_step is None else direction_for_step(t, g)
         wp, wg = matrices_for_step(t, x, u)
-        mean = x.mean(axis=1, keepdims=True)
-        cols["dist_to_opt"][t] = np.linalg.norm(x - x_star, axis=0).mean()
-        cols["dist_to_opt_mean"][t] = np.linalg.norm(mean - x_star)
-        cols["consensus"][t] = np.sum((x - mean) ** 2) / n
-        cols["gme"][t] = np.sum((g @ wg - g.mean(axis=1, keepdims=True)) ** 2)
-        cols["loss"][t] = problem.loss(mean[:, 0])
-        x_new = x @ wp - cfg.lr * (u @ wg)
-        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > _DIVERGE_LIMIT:
-            raise DivergenceError(t, f"|X| reached {np.abs(x_new).max():.3e}")
+        k = t % size
+        xs[k] = x
+        gs[k] = g
+        gw = np.matmul(g, wg, out=gws[k])
+        x_new = x @ wp - cfg.lr * (gw if u is g else u @ wg)
+        big = np.abs(x_new).max()
+        if not big <= _DIVERGE_LIMIT:
+            raise DivergenceError(t, f"|X| reached {big:.3e}")
         if trace is not None:
             trace.grads.append(u.copy())
             trace.w_params.append(wp.copy())
             trace.w_grads.append(wg.copy())
             trace.x.append(x_new.copy())
         x = x_new
+        if k == size - 1 or t == cfg.steps - 1:
+            _chunk_metrics(problem, xs[:k + 1], gs[:k + 1], gws[:k + 1], cols, t - k)
     return MetricsLog(
         step=np.arange(cfg.steps),
         **cols,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmix.mixing import uniform_averaging
 from hetmix.objectives import (
@@ -23,6 +25,12 @@ from hetmix.objectives import (
 def _node_value(p, i, x):
     r = p.a[i] @ x + p.b[i]
     return float(r @ r)
+
+
+def _former_loss(p, x):
+    """Problem.loss at one point, as it was before it took stacks."""
+    r = p.a @ x + p.b
+    return sum((r[:, None, :] @ r[:, :, None]).ravel().tolist()) / p.n
 
 
 def _node_gradient(p, i, x):
@@ -84,6 +92,20 @@ def test_random_quadratics_basic_facts():
     # loss is the plain average of node values
     x = np.ones(4)
     assert p.loss(x) == pytest.approx(sum(_node_value(p, i, x) for i in range(5)) / 5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 24), st.integers(1, 20), st.integers(0, 4), st.integers(1, 40),
+       st.integers(0, 2**16), st.floats(-3.0, 3.0))
+def test_loss_of_a_stack_matches_each_point(n, d, extra_rows, t, seed, log_scale):
+    p = make_random_quadratics(n, d, -(-d // n) + extra_rows, seed=seed)
+    x = np.random.default_rng(seed).standard_normal((t, d)) * 10.0**log_scale
+    stacked = p.loss(x)
+    assert stacked.shape == (t,)
+    for i in range(t):
+        one = p.loss(x[i])
+        assert type(one) is float
+        assert stacked[i] == one == _former_loss(p, x[i])
 
 
 def test_random_quadratics_rejects_underdetermined():

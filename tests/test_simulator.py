@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hetmix.simulator
 from hetmix.mixing import metropolis_hastings, pairing_matrix, uniform_averaging
 from hetmix.objectives import (
     full_gradients,
@@ -12,7 +15,9 @@ from hetmix.objectives import (
 )
 from hetmix.gme import GmeSolverParams
 from hetmix.simulator import (
+    _CHUNK,
     DivergenceError,
+    MetricsLog,
     RunConfig,
     check_update_identity,
     run_dsgd,
@@ -39,9 +44,45 @@ def _brute_force_window(v, window):
     return np.array([v[max(0, t - window + 1): t + 1].mean() for t in range(len(v))])
 
 
+_X_METRICS = ("dist_to_opt", "dist_to_opt_mean", "consensus", "loss")
+
+
+def _per_step_metrics(problem, trace):
+    """The metric lines of the simulator's step loop before it buffered
+    steps, evaluated on a trace; gme is right only where U is G."""
+    n = problem.n
+    x_star = problem.x_star.reshape(-1, 1)
+    cols = {name: [] for name in (*_X_METRICS, "gme")}
+    for x, g, wg in zip(trace.x, trace.grads, trace.w_grads):
+        mean = x.mean(axis=1, keepdims=True)
+        cols["dist_to_opt"].append(np.linalg.norm(x - x_star, axis=0).mean())
+        cols["dist_to_opt_mean"].append(np.linalg.norm(mean - x_star))
+        cols["consensus"].append(np.sum((x - mean) ** 2) / n)
+        cols["gme"].append(np.sum((g @ wg - g.mean(axis=1, keepdims=True)) ** 2))
+        cols["loss"].append(problem.loss(mean[:, 0]))
+    return {name: np.array(v) for name, v in cols.items()}
+
+
+def _fstring_csv(log, path):
+    """MetricsLog.write_csv before the row template."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("step,dist_to_opt,dist_to_opt_mean,consensus,gme,loss,"
+                 "dist_to_opt_w,consensus_w,gme_w\n")
+        for t in range(len(log.step)):
+            vals = (
+                log.dist_to_opt[t], log.dist_to_opt_mean[t], log.consensus[t],
+                log.gme[t], log.loss[t], log.dist_to_opt_w[t],
+                log.consensus_w[t], log.gme_w[t],
+            )
+            fh.write(f"{int(log.step[t])}," + ",".join(f"{v:.10g}" for v in vals) + "\n")
+
+
+_COLUMNS = ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss",
+            "dist_to_opt_w", "consensus_w", "gme_w")
+
+
 def _logs_equal(a, b):
-    for name in ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss",
-                 "dist_to_opt_w", "consensus_w", "gme_w"):
+    for name in _COLUMNS:
         if not np.array_equal(getattr(a, name), getattr(b, name)):
             return False
     return True
@@ -202,6 +243,25 @@ def test_divergence_raises_with_step():
     assert str(exc.value.step) in str(exc.value)
 
 
+@pytest.mark.parametrize("k", [0, _CHUNK // 2, _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK - 1])
+def test_nan_gradients_raise_at_their_step(monkeypatch, k):
+    real = hetmix.simulator.stochastic_gradients
+    calls = []
+
+    def poisoned(problem, x, rng):
+        calls.append(None)
+        g = real(problem, x, rng)
+        return g if len(calls) <= k else np.full_like(g, np.nan)
+
+    monkeypatch.setattr(hetmix.simulator, "stochastic_gradients", poisoned)
+    p = make_random_quadratics(5, 4, seed=55, noise_std=0.1)
+    g = build_ring(5)
+    cfg = RunConfig(steps=3 * _CHUNK, lr=0.1 / p.smoothness)
+    with pytest.raises(DivergenceError, match="nan") as exc:
+        run_dsgd(p, g, metropolis_hastings(g), cfg)
+    assert exc.value.step == k
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(steps=0, lr=0.1)
@@ -257,6 +317,57 @@ def test_csv_format_and_determinism(tmp_path):
     assert int(row[0]) == 6
     assert float(row[1]) == pytest.approx(log.dist_to_opt[6], rel=1e-9)
     assert float(row[5]) == pytest.approx(log.loss[6], rel=1e-9)
+
+
+_STEP_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 20))
+    steps = draw(st.one_of(st.sampled_from(_STEP_COUNTS), st.integers(1, 3 * _CHUNK)))
+    return n, d, steps, draw(st.integers(0, 2**16)), draw(st.booleans())
+
+
+@pytest.mark.parametrize("algorithm", ["dsgd", "decoupled", "hadsgd", "hadsgd_momentum"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_runs())
+def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
+    n, d, steps, seed, exact = run
+    p = make_random_quadratics(n, d, -(-d // n) + 1, seed=seed, noise_std=0.3)
+    g = build_random_connected(n, 0.5, seed)
+    cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, algorithm=algorithm,
+                    sketch_dim=8, noise_seed=seed)
+    if algorithm.startswith("hadsgd"):
+        log = run_hadsgd(p, g, cfg, solver_params=_SHALLOW, exact_gradients=exact,
+                         record_trace=True)
+    else:
+        w_grads = uniform_averaging(n) if algorithm == "decoupled" else None
+        log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=w_grads,
+                       exact_gradients=exact, record_trace=True)
+    want = _per_step_metrics(p, log.trace)
+    # the momentum trace records U, not the G that gme mixes
+    names = _X_METRICS if algorithm == "hadsgd_momentum" else (*_X_METRICS, "gme")
+    for name in names:
+        assert np.array_equal(getattr(log, name), want[name]), name
+
+
+_EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.8e308, 1e16,
+                -1e16, 1e-5, 0.1, 123456789.5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 30).flatmap(lambda t: st.lists(
+    st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()), min_size=t, max_size=t),
+    min_size=8, max_size=8)))
+def test_write_csv_matches_the_fstring_writer(tmp_path_factory, columns):
+    log = MetricsLog(step=np.arange(len(columns[0])),
+                     **{k: np.array(c, dtype=float) for k, c in zip(_COLUMNS, columns)})
+    tmp = tmp_path_factory.mktemp("csv")
+    log.write_csv(tmp / "new.csv")
+    _fstring_csv(log, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
 def test_high_lr_warns_before_running():
