@@ -2,27 +2,28 @@
 
 Experiments are described by flat text configs, one `key = value` per
 line with `#` comments. Exit codes: 0 success, 1 a property check
-failed, 2 the config could not be parsed or validated, 3 a run failed
-numerically.
+failed, 2 the config could not be parsed or validated, a builder rejected
+one of its values, or its `out` directory could not be created, 3 a run
+failed numerically.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
-from dataclasses import dataclass
 from math import isfinite, sqrt
 
 from .checks import run_checks
 from .mixing import metropolis_hastings, optimal_spectral_gap_weights, pairing_matrix, validate
 from .objectives import (
+    TWO_CLASS_NODES,
     make_random_quadratics,
     make_replicated,
     make_two_class_ring,
 )
 from .simulator import DivergenceError, MetricsLog, RunConfig, run_dsgd, run_hadsgd
 from .topology import (
-    Topology,
     build_complete,
     build_random_connected,
     build_ring,
@@ -30,12 +31,12 @@ from .topology import (
     load_edge_list,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "serialize_config",
+__all__ = ["ConfigError", "parse_config", "serialize_config",
            "cmd_run", "cmd_compare", "cmd_check", "main"]
 
 
 class ConfigError(ValueError):
-    """The config text is malformed or inconsistent."""
+    """The config is malformed or inconsistent, or a builder rejects one of its values."""
 
 
 _SCHEMA: dict[str, type] = {
@@ -49,29 +50,39 @@ _SCHEMA: dict[str, type] = {
 _REQUIRED = ("name", "out", "algorithm", "topology", "objective", "d", "steps", "seed")
 # keys passed through to RunConfig, which owns their defaults and range checks
 _RUN_KEYS = ("algorithm", "steps", "period", "sketch_dim", "alternate", "momentum", "window")
-_TOPOLOGIES = ("ring", "torus", "complete", "random", "file")
-_OBJECTIVES = ("random", "two_class", "replicated")
 _BOOL = {"true": True, "false": False}
 
+# Each config choice maps a name to (the keys it needs, its builder). The
+# topology and objective builders raise ValueError or OSError on a bad value.
+_TOPOLOGIES = {
+    "ring": (("n",), lambda cfg, seed: build_ring(cfg["n"])),
+    "torus": (("rows", "cols"), lambda cfg, seed: build_torus(cfg["rows"], cfg["cols"])),
+    "complete": (("n",), lambda cfg, seed: build_complete(cfg["n"])),
+    "random": (("n",), lambda cfg, seed: build_random_connected(
+        cfg["n"], cfg.get("keep_fraction", 0.5), seed)),
+    "file": (("edge_file",), lambda cfg, seed: load_edge_list(cfg["edge_file"])),
+}
+# n is the topology's node count: torus and file topologies fix it themselves
+_OBJECTIVES = {
+    "random": ((), lambda cfg, seed, n: make_random_quadratics(
+        n, cfg["d"], cfg.get("m", cfg["d"]), seed, sqrt(cfg.get("noise_var", 0.0)))),
+    "two_class": ((), lambda cfg, seed, n: make_two_class_ring(
+        cfg["d"], seed, sqrt(cfg.get("noise_var", 0.001)))),
+    "replicated": (("replicate_period",), lambda cfg, seed, n: make_replicated(
+        n, cfg["d"], cfg.get("m", cfg["d"]), cfg["replicate_period"], seed,
+        sqrt(cfg.get("noise_var", 0.0)))),
+}
+# fixed weights of the algorithms that do not re-optimize their matrix
+_WEIGHTS = {"mh": ((), metropolis_hastings), "spectral": ((), optimal_spectral_gap_weights)}
+# each key that picks a builder: its table, and its choice when the key is
+# absent (None where the key is required)
+_CHOICES = {"topology": (_TOPOLOGIES, None), "objective": (_OBJECTIVES, None),
+            "weights": (_WEIGHTS, "mh")}
 
-@dataclass
-class ExperimentConfig:
-    """Typed key-value pairs in their original order."""
 
-    values: dict
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def __contains__(self, key):
-        return key in self.values
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate the flat config format; raises ConfigError on any problem."""
+def parse_config(text: str) -> dict:
+    """Parse and validate the flat config format into its typed key-value
+    pairs, in their original order; raises ConfigError on any problem."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,7 +111,7 @@ def parse_config(text: str) -> ExperimentConfig:
     _validate_values(values)
     # lr_relative is a positive multiple of 1/L, so it stands in for lr here
     _run_config(values, values.get("lr", values.get("lr_relative")))
-    return ExperimentConfig(values)
+    return values
 
 
 def _run_config(values: dict, lr: float, **seeds) -> RunConfig:
@@ -112,56 +123,44 @@ def _run_config(values: dict, lr: float, **seeds) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _fail(msg: str):
-    raise ConfigError(msg)
-
-
 def _validate_values(values: dict) -> None:
     for key in _REQUIRED:
         if key not in values:
-            _fail(f"missing required key {key!r}")
+            raise ConfigError(f"missing required key {key!r}")
     if ("lr" in values) == ("lr_relative" in values):
-        _fail("exactly one of 'lr' and 'lr_relative' is required")
+        raise ConfigError("exactly one of 'lr' and 'lr_relative' is required")
     if values["seed"] < 0:
-        _fail(f"seed must be >= 0, got {values['seed']}")
-    if values.get("weights", "mh") not in ("mh", "spectral"):
-        _fail(f"weights must be 'mh' or 'spectral', got {values['weights']!r}")
-    topo = values["topology"]
-    if topo not in _TOPOLOGIES:
-        _fail(f"topology must be one of {_TOPOLOGIES}, got {topo!r}")
-    if topo in ("ring", "complete", "random") and "n" not in values:
-        _fail(f"topology {topo!r} needs key 'n'")
-    if topo == "torus" and not ("rows" in values and "cols" in values):
-        _fail("topology 'torus' needs keys 'rows' and 'cols'")
-    if topo == "file" and "edge_file" not in values:
-        _fail("topology 'file' needs key 'edge_file'")
+        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
+    for key, (table, default) in _CHOICES.items():
+        choice = values.get(key, default)
+        if choice not in table:
+            raise ConfigError(f"{key} must be one of {tuple(table)}, got {choice!r}")
+        for need in table[choice][0]:
+            if need not in values:
+                raise ConfigError(f"{key} {choice!r} needs key {need!r}")
     obj = values["objective"]
-    if obj not in _OBJECTIVES:
-        _fail(f"objective must be one of {_OBJECTIVES}, got {obj!r}")
-    if obj == "replicated" and "replicate_period" not in values:
-        _fail("objective 'replicated' needs key 'replicate_period'")
-    if obj == "two_class" and values.get("n", 16) != 16:
-        _fail("objective 'two_class' fixes n = 16")
+    if obj == "two_class" and values.get("n", TWO_CLASS_NODES) != TWO_CLASS_NODES:
+        raise ConfigError(f"objective 'two_class' fixes n = {TWO_CLASS_NODES}")
     if values["algorithm"] == "decoupled" and obj != "two_class":
-        _fail("algorithm 'decoupled' is only wired up for objective 'two_class'")
+        raise ConfigError("algorithm 'decoupled' is only wired up for objective 'two_class'")
     positive = ("d", "reps", "rows", "cols", "m", "replicate_period")
     for key in positive:
         if key in values and values[key] < 1:
-            _fail(f"{key} must be >= 1, got {values[key]}")
+            raise ConfigError(f"{key} must be >= 1, got {values[key]}")
     if "n" in values and values["n"] < 2:
-        _fail(f"n must be >= 2, got {values['n']}")
+        raise ConfigError(f"n must be >= 2, got {values['n']}")
     if "lr_relative" in values and values["lr_relative"] <= 0:
-        _fail(f"lr_relative must be positive, got {values['lr_relative']}")
+        raise ConfigError(f"lr_relative must be positive, got {values['lr_relative']}")
     if "keep_fraction" in values and not 0.0 < values["keep_fraction"] <= 1.0:
-        _fail(f"keep_fraction must be in (0, 1], got {values['keep_fraction']}")
+        raise ConfigError(f"keep_fraction must be in (0, 1], got {values['keep_fraction']}")
     if "noise_var" in values and values["noise_var"] < 0:
-        _fail(f"noise_var must be nonnegative, got {values['noise_var']}")
+        raise ConfigError(f"noise_var must be nonnegative, got {values['noise_var']}")
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
+def serialize_config(cfg: dict) -> str:
     """Inverse of parse_config up to whitespace; preserves every pair and its order."""
     lines = []
-    for key, val in cfg.values.items():
+    for key, val in cfg.items():
         if isinstance(val, bool):
             sval = "true" if val else "false"
         else:
@@ -170,7 +169,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> dict:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -182,53 +181,30 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # experiment assembly
 
-def _build_topology(cfg: ExperimentConfig, data_seed: int) -> Topology:
-    kind = cfg["topology"]
-    if kind == "ring":
-        return build_ring(cfg["n"])
-    if kind == "torus":
-        return build_torus(cfg["rows"], cfg["cols"])
-    if kind == "complete":
-        return build_complete(cfg["n"])
-    if kind == "random":
-        return build_random_connected(cfg["n"], cfg.get("keep_fraction", 0.5), data_seed)
-    return load_edge_list(cfg["edge_file"])
+def _builder(cfg: dict, key: str):
+    table, default = _CHOICES[key]
+    return table[cfg.get(key, default)][1]
 
 
-def _build_problem(cfg: ExperimentConfig, data_seed: int, default_n: int):
-    obj = cfg["objective"]
-    d = cfg["d"]
-    m = cfg.get("m", d)
-    # torus and file topologies fix the node count themselves
-    n = cfg.get("n", default_n)
-    if obj == "two_class":
-        noise = sqrt(cfg.get("noise_var", 0.001))
-        return make_two_class_ring(d, data_seed, noise)
-    noise = sqrt(cfg.get("noise_var", 0.0))
-    if obj == "replicated":
-        return make_replicated(n, d, m, cfg["replicate_period"], data_seed, noise)
-    return make_random_quadratics(n, d, m, data_seed, noise)
-
-
-def _run_repetition(cfg: ExperimentConfig, rep: int) -> MetricsLog:
+def _run_repetition(cfg: dict, rep: int) -> MetricsLog:
     seed = cfg["seed"]
     data_seed = seed + rep
-    topology = _build_topology(cfg, data_seed)
-    problem = _build_problem(cfg, data_seed, topology.n)
+    try:
+        topology = _builder(cfg, "topology")(cfg, data_seed)
+        problem = _builder(cfg, "objective")(cfg, data_seed, cfg.get("n", topology.n))
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
     if problem.n != topology.n:
         raise ConfigError(
             f"objective has {problem.n} nodes but topology has {topology.n}"
         )
     lr = cfg["lr"] if "lr" in cfg else cfg["lr_relative"] / problem.smoothness
     run_cfg = _run_config(
-        cfg.values, lr, sketch_seed=seed + 20_000 + rep, noise_seed=seed + 10_000 + rep
+        cfg, lr, sketch_seed=seed + 20_000 + rep, noise_seed=seed + 10_000 + rep
     )
     if run_cfg.algorithm in ("hadsgd", "hadsgd_momentum"):
         return run_hadsgd(problem, topology, run_cfg)
-    if cfg.get("weights", "mh") == "spectral":
-        fixed = optimal_spectral_gap_weights(topology)
-    else:
-        fixed = metropolis_hastings(topology)
+    fixed = _builder(cfg, "weights")(topology)
     pairs = None
     if run_cfg.algorithm == "decoupled":
         pairs = pairing_matrix(topology.n)
@@ -245,26 +221,34 @@ def _final_line(name: str, rep: int, log: MetricsLog) -> str:
     )
 
 
+def _exit_codes(cmd):
+    """Map a subcommand's rejected config to exit 2 and its numeric failure to 3."""
+    @functools.wraps(cmd)
+    def wrapped(*args, **kwargs):
+        try:
+            return cmd(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"config error: {exc}")
+            return 2
+        except (DivergenceError, ArithmeticError) as exc:
+            print(f"numeric failure: {exc}")
+            return 3
+    return wrapped
+
+
+@_exit_codes
 def cmd_run(config_path: str) -> int:
     """Run every repetition of one config, writing a CSV per repetition."""
+    cfg = load_config(config_path)
     try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
-    os.makedirs(cfg["out"], exist_ok=True)
-    try:
-        for rep in range(cfg.get("reps", 1)):
-            log = _run_repetition(cfg, rep)
-            out = os.path.join(cfg["out"], f"{cfg['name']}_rep{rep}.csv")
-            log.write_csv(out)
-            print(_final_line(cfg["name"], rep, log))
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
-    except (DivergenceError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}")
-        return 3
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out directory: {exc}") from exc
+    for rep in range(cfg.get("reps", 1)):
+        log = _run_repetition(cfg, rep)
+        out = os.path.join(cfg["out"], f"{cfg['name']}_rep{rep}.csv")
+        log.write_csv(out)
+        print(_final_line(cfg["name"], rep, log))
     return 0
 
 
@@ -272,7 +256,7 @@ _COMPARE_METRICS = ("dist_to_opt_w", "consensus_w", "gme_w")
 _SHARED_KEYS = ("topology", "objective", "n", "d", "steps", "seed", "noise_var")
 
 
-def _tail_means(cfg: ExperimentConfig) -> dict:
+def _tail_means(cfg: dict) -> dict:
     sums = {metric: 0.0 for metric in _COMPARE_METRICS}
     reps = cfg.get("reps", 1)
     for rep in range(reps):
@@ -283,25 +267,15 @@ def _tail_means(cfg: ExperimentConfig) -> dict:
     return {metric: total / reps for metric, total in sums.items()}
 
 
+@_exit_codes
 def cmd_compare(config_a: str, config_b: str) -> int:
     """Run two configs and print their windowed tail means side by side."""
-    try:
-        cfg_a, cfg_b = load_config(config_a), load_config(config_b)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
+    cfg_a, cfg_b = load_config(config_a), load_config(config_b)
     for key in _SHARED_KEYS:
         if cfg_a.get(key) != cfg_b.get(key):
             print(f"note: configs differ on {key!r} "
                   f"({cfg_a.get(key)!r} vs {cfg_b.get(key)!r})")
-    try:
-        means_a, means_b = _tail_means(cfg_a), _tail_means(cfg_b)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
-    except (DivergenceError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}")
-        return 3
+    means_a, means_b = _tail_means(cfg_a), _tail_means(cfg_b)
     name_a, name_b = cfg_a["name"], cfg_b["name"]
     print(f"{'metric':<16} {name_a:>14} {name_b:>14}  sign")
     for metric in _COMPARE_METRICS:

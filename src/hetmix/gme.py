@@ -35,6 +35,9 @@ _MAX_HALVINGS = 8  # step halvings per solve_gme iteration before it stops
 # Newton iterations without a new smallest residual before a projection gives
 # up; converging cold starts at input scales up to 1e8 went at most 35 without
 _STALL_ITERS = 50
+# largest row-sum or column-sum residual of a projection, its only error
+_PROJECTION_TOL = 1e-10
+_PROJECTION_MAX_ITERS = 5000  # Newton iterations of one projection
 
 __all__ = [
     "GramMatrix",
@@ -65,24 +68,17 @@ class SketchConfig:
 
 @dataclass(frozen=True)
 class GmeSolverParams:
-    """Caps and tolerances for the projected-gradient solver and its projector.
-
-    max_iters and tol bound the outer projected-gradient loop (see
-    solve_gme). projection_tol bounds the largest row-sum or column-sum
-    residual of each projection, its only error, and projection_max_iters
-    caps the Newton iterations of one projection.
-    """
+    """Iteration cap and stopping tolerance of the projected-gradient loop
+    (see solve_gme)."""
 
     max_iters: int = 2000
     tol: float = 1e-10
-    projection_tol: float = 1e-10
-    projection_max_iters: int = 5000
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.projection_max_iters < 1:
-            raise ValueError("iteration caps must be positive")
-        if self.tol <= 0 or self.projection_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -158,10 +154,8 @@ def jl_required_dim(m: int, delta: float, eps: float) -> int:
     return ceil(100.0 * log(m / delta) / eps**2)
 
 
-def project_feasible(
-    m: np.ndarray, topology: Topology, params: GmeSolverParams | None = None
-) -> MixingMatrix:
-    """Euclidean projection onto the feasible polytope, exact up to projection_tol.
+def project_feasible(m: np.ndarray, topology: Topology) -> MixingMatrix:
+    """Euclidean projection onto the feasible polytope, exact up to _PROJECTION_TOL.
 
     The projection of Z is W = max(Z - alpha 1^T - 1 beta^T, 0) on the
     support and 0 off it, for the row and column multipliers (alpha, beta)
@@ -169,24 +163,22 @@ def project_feasible(
     them from a cold start (see _newton_projection). The result is
     nonnegative and exactly zero off the support, so its only error is the
     largest row-sum or column-sum residual, which is at most
-    projection_tol; it passes validation at 1e-8 whenever projection_tol
-    does not exceed that. Raises ArithmeticError, naming the residual, if
-    projection_max_iters Newton steps do not get there, or if the residual
-    sets no new minimum in _STALL_ITERS consecutive steps, as where its
-    rounding floor lies above projection_tol.
+    _PROJECTION_TOL, so it passes validation at 1e-8. Raises
+    ArithmeticError, naming the residual, if _PROJECTION_MAX_ITERS Newton
+    steps do not get there, or if the residual sets no new minimum in
+    _STALL_ITERS consecutive steps, as where its rounding floor lies above
+    _PROJECTION_TOL.
     """
-    if params is None:
-        params = GmeSolverParams()
     n = topology.n
     x = np.array(m, dtype=float)
     if x.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {x.shape}")
-    w, _ = _newton_projection(x, topology.support_mask(), None, params)
+    w, _ = _newton_projection(x, topology.support_mask(), None)
     return MixingMatrix(w, sum_atol=1e-8)
 
 
 def _newton_projection(
-    z: np.ndarray, support: np.ndarray, ab: np.ndarray | None, params: GmeSolverParams
+    z: np.ndarray, support: np.ndarray, ab: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The projection on plain arrays: (W, multipliers), started from ab.
 
@@ -210,10 +202,10 @@ def _newton_projection(
     _, w, active, res = _primal(z, support, ab)
     err = best = float(np.abs(res).max())
     stalled = 0
-    for it in range(params.projection_max_iters + 1):
-        if err <= params.projection_tol:
+    for it in range(_PROJECTION_MAX_ITERS + 1):
+        if err <= _PROJECTION_TOL:
             return w, ab
-        if it == params.projection_max_iters:
+        if it == _PROJECTION_MAX_ITERS:
             break
         h = _hessian(active)
         h[diag, diag] += _RIDGE
@@ -249,7 +241,7 @@ def _newton_projection(
                 f"(no smaller residual in {_STALL_ITERS} iterations)"
             )
     raise ArithmeticError(
-        f"Newton projection did not converge in {params.projection_max_iters} "
+        f"Newton projection did not converge in {_PROJECTION_MAX_ITERS} "
         f"iterations (residual {err:.3e})"
     )
 
@@ -312,13 +304,14 @@ class _Face:
         if ab is not None:
             self.c += ab - p @ (pinv @ ab)
 
-    def apply(self, z: np.ndarray, tol: float) -> np.ndarray | None:
+    def apply(self, z: np.ndarray) -> np.ndarray | None:
         """The projection of z if A is its active set, else None.
 
         A is z's active set exactly when W = Z - alpha - beta is positive
         on A, Z - alpha - beta is at most 0 on the rest of the support, and
-        W's row and column sums are within tol of one: the conditions that
-        make W the projection, as Newton's residual check does.
+        W's row and column sums are within _PROJECTION_TOL of one: the
+        conditions that make W the projection, as Newton's residual check
+        does.
         """
         n = self.n
         ab = z.take(self.active) @ self.k + self.c
@@ -327,7 +320,7 @@ class _Face:
         # negated tests, so that a NaN fails them
         if not (wa.min() > 0.0 and t.take(self.rest).max(initial=0.0) <= 0.0):
             return None
-        if not np.abs(self.sums @ wa - 1.0).max() <= tol:
+        if not np.abs(self.sums @ wa - 1.0).max() <= _PROJECTION_TOL:
             return None
         w = np.zeros(n * n)
         w[self.active] = wa
@@ -358,7 +351,7 @@ def solve_gme(
     products of size |A| by 2n. Its output is accepted only if it
     satisfies the projection's optimality conditions: positive on A,
     Z - alpha - beta at most 0 on the rest of the support, and row and
-    column sums within projection_tol of one. Otherwise Newton's method
+    column sums within _PROJECTION_TOL of one. Otherwise Newton's method
     projects, warm-started from the last multipliers it found, and its
     active set replaces the cached one. Gamma W is computed once per
     iterate, for both the objective and the next gradient. A zero Gamma
@@ -391,9 +384,9 @@ def solve_gme(
         grad = 2.0 * gw
         for _ in range(1 + _MAX_HALVINGS):
             z = w - step * grad
-            w_new = None if face is None else face.apply(z, params.projection_tol)
+            w_new = None if face is None else face.apply(z)
             if w_new is None:
-                w_new, ab = _newton_projection(z, support, ab, params)
+                w_new, ab = _newton_projection(z, support, ab)
                 face = _Face(w_new > 0.0, support, ab)
             gw_new = g @ w_new
             f_new = float((w_new * gw_new).sum())

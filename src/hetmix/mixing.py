@@ -126,12 +126,11 @@ def metropolis_hastings(topology: Topology) -> MixingMatrix:
     averaging.
     """
     n = topology.n
+    i, j = np.array(topology.edges).T
+    deg = np.bincount(np.concatenate([i, j]), minlength=n)
     w = np.zeros((n, n))
-    deg = [topology.degree(i) for i in range(n)]
-    for i, j in topology.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    w[np.diag_indices(n)] = 1.0 - w.sum(axis=1)
     return MixingMatrix(w)
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import hetmix
 from hetmix.cli import (
     ConfigError,
-    ExperimentConfig,
     cmd_check,
     cmd_compare,
     cmd_run,
@@ -68,7 +67,7 @@ def test_parse_types_comments_and_order():
     assert cfg["n"] == 6 and isinstance(cfg["n"], int)
     assert cfg["lr_relative"] == 0.2
     assert cfg["alternate"] is False
-    assert list(cfg.values)[0] == "name"
+    assert list(cfg)[0] == "name"
     assert "lr" not in cfg
 
 
@@ -76,8 +75,8 @@ def test_serialize_round_trips():
     text = _BASE.format(out="/tmp/x") + "alternate = true\nmomentum = 0.85\n"
     cfg = parse_config(text)
     again = parse_config(serialize_config(cfg))
-    assert again.values == cfg.values
-    assert list(again.values) == list(cfg.values)
+    assert again == cfg
+    assert list(again) == list(cfg)
 
 
 @pytest.mark.parametrize(
@@ -154,8 +153,8 @@ def test_parse_accepts_or_raises_config_error(text):
         cfg = parse_config(text)
     except ConfigError:
         return
-    assert isinstance(cfg, ExperimentConfig)
-    assert all(math.isfinite(v) for v in cfg.values.values() if isinstance(v, float))
+    assert isinstance(cfg, dict)
+    assert all(math.isfinite(v) for v in cfg.values() if isinstance(v, float))
 
 
 # --- run ---------------------------------------------------------------
@@ -182,6 +181,54 @@ def test_run_reports_config_errors(tmp_path, capsys):
     assert code == 2
     assert "junk" in capsys.readouterr().out
     assert cmd_run(str(tmp_path / "missing.cfg")) == 2
+
+
+def _set_keys(text, changes):
+    """text with each key's line set to its new value, appended where absent."""
+    for key, value in changes.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        if not count:
+            text += f"{key} = {value}\n"
+    return text
+
+
+def _bad_inputs(tmp_path):
+    (tmp_path / "disconnected.txt").write_text("n=4\n0 1\n2 3\n")
+    (tmp_path / "non_integer.txt").write_text("n=3\n0 1\n1 x\n")
+    (tmp_path / "plain_file").write_text("")
+
+
+@pytest.mark.parametrize(
+    "changes, complaint",
+    [
+        ({"n": "2"}, "a ring needs n >= 3"),
+        ({"topology": "torus", "rows": "2", "cols": "3"}, "a torus needs rows, cols >= 3"),
+        ({"topology": "file", "edge_file": "{tmp}/absent.txt"}, "No such file"),
+        ({"topology": "file", "edge_file": "{tmp}/disconnected.txt"}, "graph is not connected"),
+        ({"topology": "file", "edge_file": "{tmp}/non_integer.txt"}, "non-integer endpoint"),
+        ({"objective": "replicated", "replicate_period": "4"}, "period 4 must divide n=6"),
+        ({"d": "10", "m": "1"}, "need n*m >= d"),
+        ({"out": "{tmp}/plain_file/out"}, "cannot create out directory"),
+    ],
+)
+def test_run_reports_values_a_builder_rejects(tmp_path, capsys, changes, complaint):
+    _bad_inputs(tmp_path)
+    changes = {key: value.format(tmp=tmp_path) for key, value in changes.items()}
+    text = _set_keys(_BASE.format(out=tmp_path / "o"), changes)
+    assert cmd_run(_write(tmp_path, text)) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1 and printed[0].startswith("config error: ")
+    assert complaint in printed[0]
+
+
+def test_run_lets_a_simulator_error_through(tmp_path, monkeypatch):
+    # only what the builders raise is a config error; a bug keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("simulator bug")
+
+    monkeypatch.setattr("hetmix.cli.run_dsgd", broken)
+    with pytest.raises(ValueError, match="simulator bug"):
+        cmd_run(_write(tmp_path, _BASE.format(out=tmp_path / "b")))
 
 
 @pytest.mark.parametrize("line", ["noise_var = nan", "lr_relative = inf"])
@@ -265,6 +312,16 @@ def test_compare_propagates_parse_failures(tmp_path):
     good = _write(tmp_path, _BASE.format(out=tmp_path / "x"))
     bad = _write(tmp_path, "name = broken\n", "bad.cfg")
     assert cmd_compare(good, bad) == 2
+
+
+def test_compare_reports_a_bad_edge_file(tmp_path, capsys):
+    _bad_inputs(tmp_path)
+    good = _write(tmp_path, _BASE.format(out=tmp_path / "g"))
+    text = _set_keys(_BASE.format(out=tmp_path / "b"),
+                     {"topology": "file", "edge_file": tmp_path / "disconnected.txt"})
+    assert cmd_compare(good, _write(tmp_path, text, "bad.cfg")) == 2
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("note:")]
+    assert printed == ["config error: graph is not connected"]
 
 
 # --- check -------------------------------------------------------------

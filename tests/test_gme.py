@@ -172,14 +172,13 @@ def test_projection_is_idempotent():
     np.testing.assert_allclose(again, w, atol=1e-7)
 
 
-def test_projection_shape_mismatch_and_cap():
+def test_projection_shape_mismatch_and_cap(monkeypatch):
     graph = build_ring(6)
     with pytest.raises(ValueError):
         project_feasible(np.zeros((4, 4)), graph)
-    params = GmeSolverParams(projection_max_iters=2)
+    monkeypatch.setattr(gme, "_PROJECTION_MAX_ITERS", 2)
     with pytest.raises(ArithmeticError, match="converge"):
-        project_feasible(np.random.default_rng(0).uniform(-2, 2, (6, 6)),
-                         graph, params)
+        project_feasible(np.random.default_rng(0).uniform(-2, 2, (6, 6)), graph)
 
 
 @st.composite
@@ -211,7 +210,7 @@ def test_projection_properties(case):
     w = project_feasible(z, graph).w
     assert validate(w, graph, 1e-8) is None
     residual = max(np.abs(w.sum(axis=0) - 1).max(), np.abs(w.sum(axis=1) - 1).max())
-    assert residual <= GmeSolverParams().projection_tol
+    assert residual <= gme._PROJECTION_TOL
     assert np.all(w[~support] == 0.0)
     np.testing.assert_allclose(project_feasible(w, graph).w, w, rtol=0, atol=1e-9)
     # the vertex maximizing <Z - P, V> over permutations inside the support
@@ -237,7 +236,7 @@ def test_projection_succeeds_or_raises_arithmetic_error(case):
 
 def test_projection_stall_raises_quickly():
     """At scale 1.2e6 the rounding floor of the sums lies above
-    projection_tol; the projection gives up once its residual stops
+    _PROJECTION_TOL; the projection gives up once its residual stops
     falling instead of running out its 5000 iterations."""
     graph = build_random_connected(21, 0.5, 5)
     z = 1.2e6 * np.random.default_rng(5).standard_normal((21, 21))
@@ -252,8 +251,8 @@ def test_projection_stall_raises_quickly():
 def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     z, graph, scale = case
     n = graph.n
-    support, params = graph.support_mask(), GmeSolverParams()
-    w, ab = gme._newton_projection(z, support, None, params)  # as project_feasible
+    support = graph.support_mask()
+    w, ab = gme._newton_projection(z, support, None)  # as project_feasible
     # where an entry of Z - alpha - beta is 0 within the projection's
     # error, rounding may put the face's value on the wrong side of 0, and
     # then it rightly declines; such ties are common off A when the active
@@ -261,7 +260,7 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     t = z - ab[:n, None] - ab[None, n:]
     assume(np.abs(t[support]).min() > 1e-9 * (1.0 + scale))
     face = gme._Face(w > 0.0, support, ab)
-    got = face.apply(z, params.projection_tol)
+    got = face.apply(z)
     assert got is not None
     np.testing.assert_allclose(got, w, rtol=0, atol=1e-9 * (1.0 + scale))
     # lowering Z at active entry k = (i, j) by s lowers the face's
@@ -274,7 +273,7 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     assume(slack[k] > 1e-3)
     moved = z.copy()
     moved.flat[face.active[k]] -= (got.flat[face.active[k]] + 1.0) / slack[k]
-    assert face.apply(moved, params.projection_tol) is None
+    assert face.apply(moved) is None
 
 
 @st.composite
@@ -310,7 +309,7 @@ def test_solve_with_the_face_matches_newton_alone(case):
     cfg, params = SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300)
     w = ce_gme(g, graph, cfg, params).w
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gme._Face, "apply", lambda self, z, tol: None)
+        mp.setattr(gme._Face, "apply", lambda self, z: None)
         newton = ce_gme(g, graph, cfg, params).w
     np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
 
@@ -383,7 +382,7 @@ def test_solver_caps_step_halvings(monkeypatch):
     assert gme_objective(gamma, MixingMatrix(worse)) > gme_objective(gamma, init)
     calls = []
 
-    def raising(z, support, ab, params):
+    def raising(z, support, ab):
         calls.append(ab)
         return worse, ab
 

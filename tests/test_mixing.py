@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmix.gme import project_feasible
 from hetmix.mixing import (
@@ -15,7 +17,14 @@ from hetmix.mixing import (
     uniform_clique_averaging,
     validate,
 )
-from hetmix.topology import CliquePartition, Topology, build_complete, build_ring
+from hetmix.topology import (
+    CliquePartition,
+    Topology,
+    build_complete,
+    build_random_connected,
+    build_ring,
+    build_torus,
+)
 
 
 # --- oracle ------------------------------------------------------------
@@ -52,6 +61,40 @@ def test_metropolis_hastings_complete_is_uniform_averaging():
     np.testing.assert_allclose(
         metropolis_hastings(build_complete(4)).w, uniform_averaging(4).w, atol=1e-15
     )
+
+
+def _loop_metropolis_hastings(topology):
+    """The per-node and per-edge loops metropolis_hastings replaced."""
+    n = topology.n
+    w = np.zeros((n, n))
+    deg = [topology.degree(i) for i in range(n)]
+    for i, j in topology.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    for i in range(n):
+        w[i, i] = 1.0 - w[i].sum()
+    return w
+
+
+@st.composite
+def _graphs(draw):
+    """A ring, complete graph, torus, star or random connected graph of up to 80 nodes."""
+    kind = draw(st.sampled_from(["ring", "complete", "torus", "star", "random"]))
+    if kind == "torus":
+        return build_torus(draw(st.integers(3, 8)), draw(st.integers(3, 8)))
+    n = draw(st.integers(3 if kind == "ring" else 2, 80))
+    if kind == "ring":
+        return build_ring(n)
+    if kind == "complete":
+        return build_complete(n)
+    if kind == "star":
+        return Topology(n, tuple((0, i) for i in range(1, n)))
+    return build_random_connected(n, draw(st.floats(0.01, 1.0)), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_graphs())
+def test_metropolis_hastings_matches_the_loop_form_bit_for_bit(graph):
+    assert np.array_equal(metropolis_hastings(graph).w, _loop_metropolis_hastings(graph))
 
 
 def test_metropolis_hastings_always_valid_and_contracting():
