@@ -35,7 +35,6 @@ from .mixing import (
 from .objectives import (
     Problem,
     full_gradients,
-    global_optimum,
     make_random_quadratics,
     make_replicated,
     make_two_class_ring,
@@ -62,7 +61,6 @@ from .topology import (
     build_ring,
     build_torus,
     load_edge_list,
-    save_edge_list,
 )
 
 __version__ = "0.1.0"

@@ -7,13 +7,12 @@ solver so the two routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gme import (
     GmeSolverParams,
-    GramMatrix,
     SketchConfig,
     ce_gme,
     center_columns,
@@ -87,20 +86,19 @@ def _w_of_u(u: np.ndarray) -> np.ndarray:
     return flat.reshape(3, 3)
 
 
-def quadratic_program_oracle(
-    gamma: np.ndarray, seed: int = 0, grid_step: float = 0.05, restarts: int = 20
-) -> float:
+def quadratic_program_oracle(gamma: np.ndarray, seed: int = 0) -> float:
     """Reference minimum of Tr[W^T Gamma W] over 3x3 doubly stochastic W.
 
     Full support only. The polytope is parametrized by the top-left 2x2
-    block; a feasible grid seeds an SLSQP polish from the grid best and
-    from random feasible restarts, and the best polished value wins. The
-    objective is convex, so the polished optimum is global.
+    block; a feasible grid of step 0.05 seeds an SLSQP polish from the
+    grid best and from 20 random feasible restarts drawn from seed, and
+    the best polished value wins. The objective is convex, so the
+    polished optimum is global.
     """
     from scipy.optimize import minimize  # slow to import, and only needed here
 
     gamma = np.asarray(gamma, dtype=float)
-    axes = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    axes = np.arange(0.0, 1.025, 0.05)  # 0, 0.05, ..., 1
     mesh = np.stack(np.meshgrid(*([axes] * 4), indexing="ij"), axis=-1).reshape(-1, 4)
     entries = mesh @ _INEQ_A.T + _INEQ_B
     feasible = mesh[np.all(entries >= -1e-12, axis=1)]
@@ -114,7 +112,7 @@ def quadratic_program_oracle(
 
     rng = np.random.default_rng(seed)
     starts = [best_u]
-    while len(starts) < restarts + 1:
+    while len(starts) < 21:
         u = rng.uniform(0.0, 1.0, 4)
         if np.all(_INEQ_A @ u + _INEQ_B >= 0.0):
             starts.append(u)
@@ -160,7 +158,7 @@ def _example1_gradients(rng: np.random.Generator, d: int = 10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checks
 
-def spectral_norm_bound(corrupt: bool = False) -> CheckResult:
+def spectral_norm_bound() -> CheckResult:
     """Every feasible matrix, symmetric or not, has operator norm at most one."""
     rng = np.random.default_rng(101)
     mats = []
@@ -170,9 +168,6 @@ def spectral_norm_bound(corrupt: bool = False) -> CheckResult:
         mats.append(metropolis_hastings(_random_graph(rng)).w)
     for _ in range(20):
         mats.append(_random_gme_output(_random_graph(rng), rng).w)
-    if corrupt:
-        bad = np.array([[0.52, 0.5], [0.5, 0.5]])  # deliberate known-bad input
-        mats.append(bad)
     worst = max(float(np.linalg.norm(m, 2)) for m in mats)
     return CheckResult(
         "spectral_norm_bound", worst <= 1.0 + 1e-10,
@@ -180,7 +175,7 @@ def spectral_norm_bound(corrupt: bool = False) -> CheckResult:
     )
 
 
-def mixing_contraction_bound(corrupt: bool = False) -> CheckResult:
+def mixing_contraction_bound() -> CheckResult:
     """relative_zeta_sq <= (1 - p) zeta_sq with p the consensus factor."""
     rng = np.random.default_rng(202)
     worst = -np.inf
@@ -201,7 +196,7 @@ def mixing_contraction_bound(corrupt: bool = False) -> CheckResult:
     )
 
 
-def replicated_ring_exactness(corrupt: bool = False) -> CheckResult:
+def replicated_ring_exactness() -> CheckResult:
     """Period-3 data on a 6-ring with uniform weights mixes to zero heterogeneity."""
     graph = build_ring(6)
     problem = make_replicated(6, 10, 10, period=3, seed=11)
@@ -218,7 +213,7 @@ def replicated_ring_exactness(corrupt: bool = False) -> CheckResult:
     )
 
 
-def clique_averaging_exactness(corrupt: bool = False) -> CheckResult:
+def clique_averaging_exactness() -> CheckResult:
     """Class-balanced cliques average local gradients to the global one."""
     problem = make_replicated(6, 8, 8, period=3, seed=12)
     w = uniform_clique_averaging(CliquePartition(((0, 1, 2), (3, 4, 5))))
@@ -232,7 +227,7 @@ def clique_averaging_exactness(corrupt: bool = False) -> CheckResult:
     )
 
 
-def composition_preserves_both(corrupt: bool = False) -> CheckResult:
+def composition_preserves_both() -> CheckResult:
     """Composing with a feasible matrix cannot hurt consensus or gradient mixing."""
     rng = np.random.default_rng(505)
     worst_dev = -np.inf
@@ -260,7 +255,7 @@ def composition_preserves_both(corrupt: bool = False) -> CheckResult:
     )
 
 
-def solver_matches_oracle(corrupt: bool = False) -> CheckResult:
+def solver_matches_oracle() -> CheckResult:
     """Projected gradient agrees with the grid-plus-polish oracle on 3 nodes."""
     rng = np.random.default_rng(606)
     worst = 0.0
@@ -278,7 +273,7 @@ def solver_matches_oracle(corrupt: bool = False) -> CheckResult:
 
 
 def _mean_point_run(problem, graph, cfg, solver_params):
-    """Exact-gradient run with the mean-point refresh used by the drift checks.
+    """Run of a noiseless problem with the mean-point refresh used by the drift checks.
 
     Every cfg.period steps the matrix is re-solved from the exact gradients
     at the mean iterate; it is applied at every step, with no alternation.
@@ -291,8 +286,7 @@ def _mean_point_run(problem, graph, cfg, solver_params):
             state["w"] = solve_gme(gamma, graph, solver_params).w
         return state["w"], state["w"]
 
-    return _simulate(problem, graph, cfg, matrices, exact_gradients=True,
-                     record_trace=True)
+    return _simulate(problem, graph, cfg, matrices, record_trace=True)
 
 
 def _drift_trajectories():
@@ -320,7 +314,7 @@ def _mean_point_grads(problem, x):
     return full_gradients(problem, tiled)
 
 
-def gme_drift_over_period(corrupt: bool = False) -> CheckResult:
+def gme_drift_over_period() -> CheckResult:
     """Between refreshes the mixing error grows at most by the predicted drift.
 
     Also checks, at every step, that the mean-point error is controlled by
@@ -359,7 +353,7 @@ def gme_drift_over_period(corrupt: bool = False) -> CheckResult:
     )
 
 
-def local_vs_mean_gme(corrupt: bool = False) -> CheckResult:
+def local_vs_mean_gme() -> CheckResult:
     """Mean-point mixing error bounded by local error plus consensus gap, random inputs."""
     rng = np.random.default_rng(707)
     worst = -np.inf
@@ -383,7 +377,7 @@ def local_vs_mean_gme(corrupt: bool = False) -> CheckResult:
     )
 
 
-def update_identity(corrupt: bool = False) -> CheckResult:
+def update_identity() -> CheckResult:
     """Recorded trajectories satisfy the centered update identity; doctoring is caught."""
     graph = build_ring(8)
     problem = make_random_quadratics(8, 5, 5, seed=21, noise_std=0.3)
@@ -412,7 +406,7 @@ def update_identity(corrupt: bool = False) -> CheckResult:
     )
 
 
-def stochastic_gme_bound(corrupt: bool = False) -> CheckResult:
+def stochastic_gme_bound() -> CheckResult:
     """Noise-optimized matrices still control the exact mixing error, on average.
 
     Monte-Carlo over 200 noise draws with a 3-standard-error allowance on
@@ -441,7 +435,7 @@ def stochastic_gme_bound(corrupt: bool = False) -> CheckResult:
     )
 
 
-def sketch_inner_products(corrupt: bool = False) -> CheckResult:
+def sketch_inner_products() -> CheckResult:
     """The shared sketch preserves all pairwise inner products at the JL rate."""
     m, delta, eps, d = 16, 0.05, 0.3, 10_000
     k = min(jl_required_dim(m, delta, eps), d)
@@ -460,7 +454,7 @@ def sketch_inner_products(corrupt: bool = False) -> CheckResult:
     )
 
 
-def sketch_dimension_effect(corrupt: bool = False) -> CheckResult:
+def sketch_dimension_effect() -> CheckResult:
     """One sketch row degrades the solved mixing error; 64 rows do not.
 
     Solves start from a seeded random feasible matrix: the default init is
@@ -492,7 +486,7 @@ def sketch_dimension_effect(corrupt: bool = False) -> CheckResult:
     )
 
 
-def pairing_cancellation(corrupt: bool = False) -> CheckResult:
+def pairing_cancellation() -> CheckResult:
     """Averaging heterogeneous pairs cancels the mixing error and beats shuffling.
 
     Exact gradients give a zero gme series; with gradient noise the paired
@@ -509,8 +503,8 @@ def pairing_cancellation(corrupt: bool = False) -> CheckResult:
         for _ in range(10)
     )
     cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, algorithm="decoupled")
-    exact = run_dsgd(problem, graph, metropolis_hastings(graph), cfg, w_grads=pairs,
-                     exact_gradients=True)
+    exact = run_dsgd(replace(problem, noise_std=0.0), graph, metropolis_hastings(graph),
+                     cfg, w_grads=pairs)
     worst_gme = float(exact.gme.max())
     mh = metropolis_hastings(graph)
     wins = 0
@@ -550,13 +544,13 @@ CHECKS: dict[str, tuple] = {
 }
 
 
-def run_checks(suite: str = "all", corrupt: bool = False) -> list[CheckResult]:
-    """Run the fast suite or everything; corrupt injects a known-bad input (test-only)."""
+def run_checks(suite: str = "all") -> list[CheckResult]:
+    """Run the checks of CHECKS, all of them or only the fast suite, in table order."""
     if suite not in ("all", "fast"):
         raise ValueError(f"suite must be 'all' or 'fast', got {suite!r}")
     results = []
     for name, (fn, fast) in CHECKS.items():
         if suite == "fast" and not fast:
             continue
-        results.append(fn(corrupt=corrupt))
+        results.append(fn())
     return results

@@ -285,9 +285,9 @@ def cmd_compare(config_a: str, config_b: str) -> int:
     return 0
 
 
-def cmd_check(suite: str = "all", corrupt: bool = False) -> int:
+def cmd_check(suite: str = "all") -> int:
     """Run the property suites; nonzero exit and a named line on any failure."""
-    results = run_checks(suite, corrupt=corrupt)
+    results = run_checks(suite)
     failures = 0
     for result in results:
         print(result)
@@ -312,13 +312,12 @@ def main(argv=None) -> int:
     p_cmp.add_argument("config_b")
     p_chk = sub.add_parser("check", help="run the numerical property suites")
     p_chk.add_argument("suite", nargs="?", choices=("all", "fast"), default="all")
-    p_chk.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config)
     if args.command == "compare":
         return cmd_compare(args.config_a, args.config_b)
-    return cmd_check(args.suite, corrupt=args.corrupt)
+    return cmd_check(args.suite)
 
 
 if __name__ == "__main__":

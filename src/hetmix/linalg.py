@@ -6,24 +6,21 @@ import numpy as np
 
 __all__ = ["top_eigenvalue"]
 
+_MAX_ITERS = 10_000
+_SEED = 1234
 
-def top_eigenvalue(
-    mat: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: int = 10_000,
-    seed: int = 1234,
-) -> float:
+
+def top_eigenvalue(mat: np.ndarray, tol: float = 1e-10) -> float:
     """Largest eigenvalue of a symmetric positive semidefinite matrix.
 
-    Plain power iteration with a Rayleigh-quotient estimate. The start
-    vector comes from a fixed-seed generator so results are deterministic
-    and (almost surely) not orthogonal to the top eigenspace.
+    Plain power iteration with a Rayleigh-quotient estimate, for at most
+    _MAX_ITERS iterations. The start vector comes from a generator seeded
+    with _SEED, so results are deterministic and (almost surely) not
+    orthogonal to the top eigenspace.
 
     Args:
         mat: symmetric PSD array of shape (n, n).
         tol: relative tolerance on successive eigenvalue estimates.
-        max_iters: iteration cap; exceeded means no convergence.
-        seed: seed for the start vector.
 
     Returns:
         The estimate of the largest eigenvalue (0.0 for the zero matrix).
@@ -35,10 +32,10 @@ def top_eigenvalue(
     n = a.shape[0]
     if not np.any(a):
         return 0.0
-    v = np.random.default_rng(seed).standard_normal(n)
+    v = np.random.default_rng(_SEED).standard_normal(n)
     v /= np.linalg.norm(v)
     lam = np.inf
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         w = a @ v
         lam_new = float(v @ w)
         norm = np.linalg.norm(w)
@@ -50,6 +47,6 @@ def top_eigenvalue(
             return max(lam_new, 0.0)
         lam = lam_new
     raise ArithmeticError(
-        f"power iteration did not converge in {max_iters} iterations "
+        f"power iteration did not converge in {_MAX_ITERS} iterations "
         f"(last estimate {lam:.6e})"
     )

@@ -21,7 +21,6 @@ __all__ = [
     "make_two_class_ring",
     "make_replicated",
     "permute_nodes",
-    "global_optimum",
     "full_gradients",
     "stochastic_gradients",
     "zeta_sq_at",
@@ -173,11 +172,6 @@ def permute_nodes(problem: Problem, perm) -> Problem:
         problem.x_star,
         problem.smoothness,
     )
-
-
-def global_optimum(problem: Problem) -> np.ndarray:
-    """Recompute the minimizer of the average objective from scratch."""
-    return _solve_optimum(problem.a, problem.b)
 
 
 def full_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gme import GmeSolverParams, SketchConfig, ce_gme
 from .mixing import MixingMatrix, metropolis_hastings
-from .objectives import Problem, full_gradients, stochastic_gradients
+from .objectives import Problem, stochastic_gradients
 from .topology import Topology
 
 __all__ = [
@@ -165,16 +165,16 @@ def _simulate(
     cfg: RunConfig,
     matrices_for_step,
     direction_for_step=None,
-    exact_gradients: bool = False,
     record_trace: bool = False,
 ) -> MetricsLog:
     """Run X <- X Wp - eta U Wg for cfg.steps steps and return the metrics.
 
-    A step draws the gradients G, takes the direction U (G itself unless
-    direction_for_step replaces it) and the matrices (Wp, Wg), and updates
-    X. It computes G Wg once, for the gme metric and, when U is G, for the
-    update. Its X, G and G Wg go into buffers of _CHUNK steps, which
-    _chunk_metrics reduces every _CHUNK steps and after the last step.
+    A step draws the gradients G (exact where problem.noise_std is 0),
+    takes the direction U (G itself unless direction_for_step replaces
+    it) and the matrices (Wp, Wg), and updates X. It computes G Wg once,
+    for the gme metric and, when U is G, for the update. Its X, G and
+    G Wg go into buffers of _CHUNK steps, which _chunk_metrics reduces
+    every _CHUNK steps and after the last step.
     """
     d, n = problem.d, topology.n
     if problem.n != n:
@@ -193,10 +193,7 @@ def _simulate(
     xs, gs, gws = (np.empty((size, d, n)) for _ in range(3))
     trace = Trace(lr=cfg.lr, x=[x.copy()]) if record_trace else None
     for t in range(cfg.steps):
-        if exact_gradients:
-            g = full_gradients(problem, x)
-        else:
-            g = stochastic_gradients(problem, x, rng)
+        g = stochastic_gradients(problem, x, rng)
         u = g if direction_for_step is None else direction_for_step(t, g)
         wp, wg = matrices_for_step(t, x, u)
         k = t % size
@@ -232,7 +229,6 @@ def run_dsgd(
     cfg: RunConfig,
     *,
     w_grads: MixingMatrix | None = None,
-    exact_gradients: bool = False,
     record_trace: bool = False,
 ) -> MetricsLog:
     """Fixed mixing: X <- X W - eta G Wg, with Wg = W unless w_grads splits them."""
@@ -242,8 +238,7 @@ def run_dsgd(
     def matrices(t, x, u):
         return wp, wg
 
-    return _simulate(problem, topology, cfg, matrices,
-                     exact_gradients=exact_gradients, record_trace=record_trace)
+    return _simulate(problem, topology, cfg, matrices, record_trace=record_trace)
 
 
 def run_hadsgd(
@@ -252,7 +247,6 @@ def run_hadsgd(
     cfg: RunConfig,
     *,
     solver_params: GmeSolverParams | None = None,
-    exact_gradients: bool = False,
     record_trace: bool = False,
 ) -> MetricsLog:
     """Periodically re-optimized mixing from sketched stochastic gradients.
@@ -284,8 +278,7 @@ def run_hadsgd(
         return cfg.momentum * state["m"] + g
 
     direction = momentum if cfg.algorithm == "hadsgd_momentum" else None
-    return _simulate(problem, topology, cfg, matrices, direction,
-                     exact_gradients=exact_gradients, record_trace=record_trace)
+    return _simulate(problem, topology, cfg, matrices, direction, record_trace=record_trace)
 
 
 def check_update_identity(trace: Trace) -> float:

@@ -21,7 +21,6 @@ __all__ = [
     "build_complete",
     "build_random_connected",
     "load_edge_list",
-    "save_edge_list",
 ]
 
 
@@ -72,25 +71,8 @@ class Topology:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        nbrs = _neighbor_sets(self.n, self.edges)
-        if not _is_connected(self.n, nbrs):
+        if not _is_connected(self.n, _neighbor_sets(self.n, self.edges)):
             raise ValueError("graph is not connected")
-        object.__setattr__(self, "_nbrs", tuple(tuple(sorted(s)) for s in nbrs))
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self, i: int) -> list[int]:
-        """Sorted neighbor list of node i."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"node index {i} out of range for n={self.n}")
-        return list(self._nbrs[i])  # type: ignore[attr-defined]
-
-    def degree(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValueError(f"node index {i} out of range for n={self.n}")
-        return len(self._nbrs[i])  # type: ignore[attr-defined]
 
     def support_mask(self) -> np.ndarray:
         """Boolean (n, n) mask of allowed mixing-weight entries: edges plus the diagonal."""
@@ -193,19 +175,13 @@ def build_random_connected(n: int, keep_fraction: float, seed: int) -> Topology:
     return Topology(n, edges)
 
 
-def save_edge_list(topology: Topology, path) -> None:
-    """Write the edge-list text format: a `n=<int>` line, then `i j` lines."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"n={topology.n}\n")
-        for i, j in topology.edges:
-            fh.write(f"{i} {j}\n")
-
-
 def load_edge_list(path) -> Topology:
-    """Read the edge-list format written by save_edge_list.
+    """Read a graph from an edge-list text file.
 
-    Validates node ranges, duplicates (in either orientation), self-loops,
-    and connectivity; any problem raises ValueError naming the line.
+    The first nonblank line is `n=<int>`; each further nonblank line is
+    one edge `i j`, in either orientation. Validates node ranges,
+    duplicates (in either orientation), self-loops, and connectivity; any
+    problem raises ValueError naming the line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()

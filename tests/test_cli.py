@@ -22,7 +22,6 @@ from hetmix.cli import (
     parse_config,
     serialize_config,
 )
-from hetmix.topology import build_ring, save_edge_list
 
 _BASE = """\
 # tiny but complete experiment description
@@ -274,7 +273,7 @@ def test_run_matches_golden_adaptive_csv(tmp_path):
 
 def test_run_with_edge_file_topology(tmp_path):
     edges = tmp_path / "ring6.txt"
-    save_edge_list(build_ring(6), edges)
+    edges.write_text("n=6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
     text = _BASE.format(out=tmp_path / "e").replace(
         "topology = ring\nn = 6", f"topology = file\nedge_file = {edges}"
     )
@@ -334,14 +333,14 @@ def test_check_fast_suite_passes(capsys):
 
 
 def test_check_catches_injected_corruption(capsys, monkeypatch):
-    # only the norm check reacts to the corrupt flag, so skip the rest
+    # a planted failing check stands in for a property that breaks
     import hetmix.checks as checks
 
-    monkeypatch.setattr(
-        checks, "CHECKS",
-        {"spectral_norm_bound": checks.CHECKS["spectral_norm_bound"]},
-    )
-    assert main(["check", "fast", "--corrupt"]) == 1
+    def failing():
+        return checks.CheckResult("spectral_norm_bound", False, "planted failure")
+
+    monkeypatch.setattr(checks, "CHECKS", {"spectral_norm_bound": (failing, True)})
+    assert main(["check", "fast"]) == 1
     out = capsys.readouterr().out
     assert "FAIL spectral_norm_bound" in out
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetmix import linalg
 from hetmix.gme import project_feasible
 from hetmix.mixing import (
     MixingMatrix,
@@ -67,7 +68,10 @@ def _loop_metropolis_hastings(topology):
     """The per-node and per-edge loops metropolis_hastings replaced."""
     n = topology.n
     w = np.zeros((n, n))
-    deg = [topology.degree(i) for i in range(n)]
+    deg = [0] * n
+    for i, j in topology.edges:
+        deg[i] += 1
+        deg[j] += 1
     for i, j in topology.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(n):
@@ -119,10 +123,10 @@ def test_uniform_clique_averaging_blocks():
     w = uniform_clique_averaging(CliquePartition(((0, 1), (2,))))
     expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(w.w, expected, atol=1e-15)
-    # validated against a graph when one is supplied
-    uniform_clique_averaging(CliquePartition(((0, 1), (2,))), _path3())
-    with pytest.raises(ValueError, match="support"):
-        uniform_clique_averaging(CliquePartition(((0, 2), (1,))), _path3())
+    # validate checks the cliques against a graph
+    assert validate(w, _path3()) is None
+    bad = validate(uniform_clique_averaging(CliquePartition(((0, 2), (1,)))), _path3())
+    assert bad.kind == "support"
 
 
 def test_pairing_matrix():
@@ -149,6 +153,16 @@ def test_constructor_rejects_bad_matrices():
     with pytest.raises(ValueError, match="column 0"):
         # rows sum to one, columns do not
         MixingMatrix(np.array([[0.6, 0.4], [0.6, 0.4]]))
+
+
+def test_constructor_reports_the_signed_sum_deviation():
+    with pytest.raises(ValueError, match=r"row 0 sums to 1-1\.000e-01"):
+        MixingMatrix(np.array([[0.4, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match=r"row 0 sums to 1\+2\.000e-01"):
+        MixingMatrix(np.array([[0.6, 0.6], [0.4, 0.4]]))
+    with pytest.raises(ValueError, match=r"column 0 sums to 1-2\.000e-01"):
+        # rows sum to one; column 0 falls short by more than the others exceed
+        MixingMatrix(np.array([[0.4, 0.3, 0.3], [0.4, 0.3, 0.3], [0.0, 0.5, 0.5]]))
 
 
 def test_constructor_clamps_roundoff_noise():
@@ -224,6 +238,12 @@ def test_identity_and_uniform_are_the_extremes():
     assert abs(deviation_operator_norm(eye) - 1.0) < 1e-10
     j = uniform_averaging(4)
     assert deviation_operator_norm(j) < 1e-9
+
+
+def test_power_iteration_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_ITERS", 2)
+    with pytest.raises(ArithmeticError, match="did not converge in 2 iterations"):
+        linalg.top_eigenvalue(np.diag([1.0, 1.0 - 1e-6, 0.5]))
 
 
 def test_compose():

@@ -9,7 +9,6 @@ from hetmix.mixing import uniform_averaging
 from hetmix.objectives import (
     Problem,
     full_gradients,
-    global_optimum,
     make_random_quadratics,
     make_replicated,
     make_two_class_ring,
@@ -117,11 +116,6 @@ def test_random_quadratics_rejects_underdetermined():
 def test_random_quadratics_rejects_bad_noise_std(noise_std):
     with pytest.raises(ValueError, match="noise_std"):
         make_random_quadratics(3, 2, seed=0, noise_std=noise_std)
-
-
-def test_global_optimum_matches_cached():
-    p = make_random_quadratics(4, 6, seed=2)
-    assert np.linalg.norm(global_optimum(p) - p.x_star) < 1e-9
 
 
 def test_two_class_ring_structure():

@@ -1,5 +1,7 @@
 """Runner equivalences, metric semantics, and the CSV dump."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,7 +124,7 @@ def test_uniform_mixing_tracks_centralized_descent():
     g = build_complete(5)
     lr = 0.5 / p.smoothness
     cfg = RunConfig(steps=300, lr=lr)
-    log = run_dsgd(p, g, uniform_averaging(5), cfg, exact_gradients=True)
+    log = run_dsgd(p, g, uniform_averaging(5), cfg)
     oracle = _centralized_gd(p, lr, 300)
     np.testing.assert_allclose(log.dist_to_opt_mean, oracle, atol=1e-9)
     assert log.consensus.max() < 1e-18
@@ -140,7 +142,7 @@ def test_replicated_ring_run_collapses_to_centralized():
     g = build_ring(6)
     lr = 0.4 / p.smoothness
     cfg = RunConfig(steps=400, lr=lr)
-    log = run_dsgd(p, g, metropolis_hastings(g), cfg, exact_gradients=True)
+    log = run_dsgd(p, g, metropolis_hastings(g), cfg)
     oracle = _centralized_gd(p, lr, 400)
     np.testing.assert_allclose(log.dist_to_opt, oracle, atol=1e-8)
     grad_scale = float(np.sum(full_gradients(p, np.zeros((5, 6))) ** 2))
@@ -153,7 +155,7 @@ def test_periodic_refresh_keeps_structured_instance_mixed():
     g = build_ring(6)
     cfg = RunConfig(steps=100, lr=0.3 / p.smoothness, algorithm="hadsgd",
                     period=10, sketch_dim=16)
-    log = run_hadsgd(p, g, cfg, exact_gradients=True)
+    log = run_hadsgd(p, g, cfg)
     grad_scale = float(np.sum(full_gradients(p, np.zeros((5, 6))) ** 2))
     assert log.gme.max() <= 1e-8 * grad_scale
 
@@ -162,8 +164,7 @@ def test_two_class_pairing_run_is_exactly_mixed():
     p = make_two_class_ring(6, seed=45, noise_std=0.0)
     g = build_ring(16)
     cfg = RunConfig(steps=150, lr=0.3 / p.smoothness, algorithm="decoupled")
-    log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=pairing_matrix(16),
-                   exact_gradients=True)
+    log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=pairing_matrix(16))
     grad_scale = float(np.sum(full_gradients(p, np.zeros((6, 16))) ** 2))
     assert log.gme.max() <= 1e-16 * grad_scale
     assert log.dist_to_opt[-1] < 1e-6
@@ -207,13 +208,11 @@ def test_sketch_seed_changes_the_refresh():
 
 
 def test_exact_gradients_ignore_the_noise_stream():
-    p = make_random_quadratics(5, 4, seed=48, noise_std=0.5)
+    p = replace(make_random_quadratics(5, 4, seed=48, noise_std=0.5), noise_std=0.0)
     g = build_ring(5)
     w = metropolis_hastings(g)
-    log1 = run_dsgd(p, g, w, RunConfig(steps=40, lr=0.1 / p.smoothness,
-                                       noise_seed=1), exact_gradients=True)
-    log2 = run_dsgd(p, g, w, RunConfig(steps=40, lr=0.1 / p.smoothness,
-                                       noise_seed=2), exact_gradients=True)
+    log1 = run_dsgd(p, g, w, RunConfig(steps=40, lr=0.1 / p.smoothness, noise_seed=1))
+    log2 = run_dsgd(p, g, w, RunConfig(steps=40, lr=0.1 / p.smoothness, noise_seed=2))
     assert _logs_equal(log1, log2)
 
 
@@ -336,16 +335,17 @@ def _runs(draw):
 def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
     n, d, steps, seed, exact = run
     p = make_random_quadratics(n, d, -(-d // n) + 1, seed=seed, noise_std=0.3)
+    if exact:
+        p = replace(p, noise_std=0.0)
     g = build_random_connected(n, 0.5, seed)
     cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, algorithm=algorithm,
                     sketch_dim=8, noise_seed=seed)
     if algorithm.startswith("hadsgd"):
-        log = run_hadsgd(p, g, cfg, solver_params=_SHALLOW, exact_gradients=exact,
-                         record_trace=True)
+        log = run_hadsgd(p, g, cfg, solver_params=_SHALLOW, record_trace=True)
     else:
         w_grads = uniform_averaging(n) if algorithm == "decoupled" else None
         log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=w_grads,
-                       exact_gradients=exact, record_trace=True)
+                       record_trace=True)
     want = _per_step_metrics(p, log.trace)
     # the momentum trace records U, not the G that gme mixes
     names = _X_METRICS if algorithm == "hadsgd_momentum" else (*_X_METRICS, "gme")
