@@ -31,7 +31,6 @@ from .topology import Topology
 
 _RIDGE = 1e-10  # added to the Newton system's diagonal, which has degree-sized entries
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the projection's line search
-_MAX_HALVINGS = 8  # step halvings per solve_gme iteration before it stops
 # Newton iterations without a new smallest residual before a projection gives
 # up; converging cold starts at input scales up to 1e8 went at most 35 without
 _STALL_ITERS = 50
@@ -117,8 +116,14 @@ class GramMatrix:
 
 
 def center_columns(g: np.ndarray) -> np.ndarray:
-    """Subtract the column mean from every column."""
+    """Subtract the column mean from every column.
+
+    A second pass removes the mean the rounding of the first leaves, which
+    dominates when the columns (nearly) coincide and so fails GramMatrix's
+    zero-row-sum check.
+    """
     g = np.asarray(g, dtype=float)
+    g = g - g.mean(axis=1, keepdims=True)
     return g - g.mean(axis=1, keepdims=True)
 
 
@@ -341,11 +346,12 @@ def solve_gme(
     """Minimize Tr[W^T Gamma W] over the feasible polytope.
 
     Projected gradient descent from init (Metropolis-Hastings when absent)
-    with step 1/(2 ||Gamma||_2 + 1e-12). Any objective increase halves the
-    step and retries, at most _MAX_HALVINGS times per iteration before the
-    solve stops, so the objective never increases and the result is at
-    least as good as the start. Stops once the per-iteration decrease
-    drops below tol relative to the starting objective, or at max_iters.
+    with step 1/L, for L = 2 ||Gamma||_2 the gradient's Lipschitz constant,
+    at which a step never raises the objective. Stops before the first
+    increase, which only rounding can cause, so the result is at least as
+    good as the start; also once the per-iteration decrease drops below
+    tol relative to the starting objective, or at max_iters.
+
     Each projection first tries the affine map of the last active set A
     Newton's method found (see _Face), which costs two matrix-vector
     products of size |A| by 2n. Its output is accepted only if it
@@ -364,14 +370,10 @@ def solve_gme(
     g = gamma.gamma
     if g.shape[0] != topology.n or init.n != topology.n:
         raise ValueError("Gram matrix, topology, and init sizes disagree")
-    if not np.any(g):
-        return init
-    # only sets the step size, so a loose tolerance is fine and avoids
-    # stalls on nearly-tied top eigenvalues
-    lam = top_eigenvalue(g, tol=1e-6)
+    lam = top_eigenvalue(g)
     if lam <= 0.0:
         return init
-    step = 1.0 / (2.0 * lam + 1e-12)
+    step = 0.5 / lam
     w = init.w.copy()
     gw = g @ w
     f = float((w * gw).sum())
@@ -381,18 +383,13 @@ def solve_gme(
     support = topology.support_mask()
     ab, face = None, None
     for _ in range(params.max_iters):
-        grad = 2.0 * gw
-        for _ in range(1 + _MAX_HALVINGS):
-            z = w - step * grad
-            w_new = None if face is None else face.apply(z)
-            if w_new is None:
-                w_new, ab = _newton_projection(z, support, ab)
-                face = _Face(w_new > 0.0, support, ab)
-            gw_new = g @ w_new
-            f_new = float((w_new * gw_new).sum())
-            if f_new <= f:
-                break
-            step *= 0.5
+        z = w - step * 2.0 * gw
+        w_new = None if face is None else face.apply(z)
+        if w_new is None:
+            w_new, ab = _newton_projection(z, support, ab)
+            face = _Face(w_new > 0.0, support, ab)
+        gw_new = g @ w_new
+        f_new = float((w_new * gw_new).sum())
         if f_new > f:
             break
         drop = f - f_new

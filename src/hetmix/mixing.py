@@ -155,10 +155,7 @@ def pairing_matrix(n: int) -> MixingMatrix:
 
 
 def deviation_operator_norm(w: MixingMatrix) -> float:
-    """||W - (1/n) 11^T||_2 by power iteration on the squared deviation.
-
-    Raises ArithmeticError if the iteration does not converge.
-    """
+    """||W - (1/n) 11^T||_2, the root of the squared deviation's top eigenvalue."""
     a = w.w - 1.0 / w.n
     return sqrt(top_eigenvalue(a.T @ a))
 
@@ -183,11 +180,6 @@ def optimal_spectral_gap_weights(topology: Topology, iters: int = 500) -> Mixing
     back onto the polytope (then symmetrized, which the polytope allows).
     Starts at Metropolis-Hastings and tracks the best iterate, so the
     result is never worse than that start.
-
-    Minimizing the extreme eigenvalue drives several eigenvalues into a
-    near-tie, which the power iteration behind deviation_operator_norm
-    may fail to resolve in its iteration cap; measure the result with a
-    dense eigensolver instead.
     """
     from .gme import project_feasible  # the projector lives with the solver
 

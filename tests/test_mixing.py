@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmix import linalg
 from hetmix.gme import project_feasible
 from hetmix.mixing import (
     MixingMatrix,
@@ -29,7 +28,7 @@ from hetmix.topology import (
 
 
 # --- oracle ------------------------------------------------------------
-# dense SVD norm of W - J, independent of the power iteration
+# dense SVD norm of W - J, independent of the symmetric eigensolver
 
 def _dense_deviation(w):
     arr = w.w if isinstance(w, MixingMatrix) else np.asarray(w)
@@ -226,10 +225,13 @@ def test_ring_deviation_matches_hand_value():
 
 def test_deviation_matches_dense_oracle():
     rng = np.random.default_rng(6)
+    cases = []
     for _ in range(15):
         n = int(rng.integers(3, 10))
-        graph = build_ring(n)
-        w = project_feasible(rng.uniform(0, 1, (n, n)), graph)
+        cases.append(project_feasible(rng.uniform(0, 1, (n, n)), build_ring(n)))
+    # optimized weights nearly tie their extreme eigenvalues
+    cases.append(optimal_spectral_gap_weights(build_ring(12), iters=200))
+    for w in cases:
         assert abs(deviation_operator_norm(w) - _dense_deviation(w)) < 1e-7
 
 
@@ -238,12 +240,6 @@ def test_identity_and_uniform_are_the_extremes():
     assert abs(deviation_operator_norm(eye) - 1.0) < 1e-10
     j = uniform_averaging(4)
     assert deviation_operator_norm(j) < 1e-9
-
-
-def test_power_iteration_reports_non_convergence(monkeypatch):
-    monkeypatch.setattr(linalg, "_MAX_ITERS", 2)
-    with pytest.raises(ArithmeticError, match="did not converge in 2 iterations"):
-        linalg.top_eigenvalue(np.diag([1.0, 1.0 - 1e-6, 0.5]))
 
 
 def test_compose():
