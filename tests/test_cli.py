@@ -258,8 +258,8 @@ def test_run_adaptive_on_ring_of_32(tmp_path, capsys):
 
 def test_run_matches_golden_adaptive_csv(tmp_path):
     """The reference adaptive config at 1 rep and 400 steps, against the CSV
-    the Dykstra-projection solver wrote; solver changes must stay within
-    rtol 1e-6 of it."""
+    the accelerated solver wrote with its certified stop at the default
+    tol; solver changes must stay within rtol 1e-6 of it."""
     text = _reference_adaptive(tmp_path / "g", steps=400, reps=1)
     assert cmd_run(_write(tmp_path, text)) == 0
     got = (tmp_path / "g" / "adaptive_rep0.csv").read_text().splitlines()
@@ -345,14 +345,27 @@ def test_check_catches_injected_corruption(capsys, monkeypatch):
     assert "FAIL spectral_norm_bound" in out
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """Neither the import nor a refresh solve loads scipy.optimize, which
+    doubles the peak memory of an adaptive run."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hetmix.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, hetmix, hetmix.cli; print('scipy.optimize' in sys.modules)"
+    cfg = _write(tmp_path, _BASE.format(out=tmp_path / "h").replace(
+        "algorithm = dsgd", "algorithm = hadsgd\nperiod = 10\nsketch_dim = 4"))
+    code = (
+        "import sys, numpy as np, hetmix, hetmix.cli\n"
+        "loaded = ['scipy.optimize' in sys.modules]\n"
+        "hetmix.ce_gme(np.random.default_rng(0).standard_normal((8, 6)),\n"
+        "              hetmix.build_ring(6), hetmix.SketchConfig(4, 0))\n"
+        "loaded.append('scipy.optimize' in sys.modules)\n"
+        f"assert hetmix.cli.main(['run', {cfg!r}]) == 0\n"
+        "loaded.append('scipy.optimize' in sys.modules)\n"
+        "print(loaded)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip().splitlines()[-1] == "[False, False, False]"
 
 
 # --- argparse plumbing -------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -66,6 +66,7 @@ def test_gram_matches_definition_and_invariants():
     assert np.array_equal(gm.gamma, gm.gamma.T)
     assert np.linalg.eigvalsh(gm.gamma)[0] >= -1e-10
     assert np.abs(gm.gamma.sum(axis=1)).max() < 1e-10
+    assert gm.lam_max == np.linalg.eigvalsh(gm.gamma)[-1] > 0.0
 
 
 def test_gram_constructor_rejects():
@@ -79,7 +80,7 @@ def test_gram_constructor_rejects():
     neg = np.array([[-1.0, 1.0], [1.0, -1.0]])
     with pytest.raises(ValueError, match="PSD"):
         GramMatrix(neg)
-    GramMatrix(np.zeros((3, 3)))  # zero matrix is fine
+    assert GramMatrix(np.zeros((3, 3))).lam_max == 0.0  # zero matrix is fine
 
 
 # --- sketching ---------------------------------------------------------
@@ -181,21 +182,24 @@ def test_projection_shape_mismatch_and_cap(monkeypatch):
         project_feasible(np.random.default_rng(0).uniform(-2, 2, (6, 6)), graph)
 
 
+def _draw_graph(draw, kind, n):
+    """A ring, complete, star or random connected graph of n nodes."""
+    if kind == "ring":
+        return build_ring(n)
+    if kind == "complete":
+        return build_complete(n)
+    if kind == "star":
+        return Topology(n, tuple((0, i) for i in range(1, n)))
+    return build_random_connected(n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
+
+
 @st.composite
 def _projection_inputs(draw, max_log_scale):
     """(Z, graph, scale): Gaussian Z of a drawn scale on a ring, complete,
     star or random connected graph of 2 to 24 nodes."""
     kind = draw(st.sampled_from(["ring", "complete", "star", "random"]))
     n = draw(st.integers(3 if kind == "ring" else 2, 24))
-    if kind == "ring":
-        graph = build_ring(n)
-    elif kind == "complete":
-        graph = build_complete(n)
-    elif kind == "star":
-        graph = Topology(n, tuple((0, i) for i in range(1, n)))
-    else:
-        graph = build_random_connected(
-            n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
+    graph = _draw_graph(draw, kind, n)
     scale = 10.0 ** draw(st.floats(-8.0, max_log_scale))
     z = scale * np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((n, n))
     return z, graph, scale
@@ -260,9 +264,11 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     t = z - ab[:n, None] - ab[None, n:]
     assume(np.abs(t[support]).min() > 1e-9 * (1.0 + scale))
     face = gme._Face(w > 0.0, support, ab)
-    got = face.apply(z)
-    assert got is not None
+    hit = face.apply(z)
+    assert hit is not None
+    got, got_ab = hit
     np.testing.assert_allclose(got, w, rtol=0, atol=1e-9 * (1.0 + scale))
+    np.testing.assert_allclose(got_ab, ab, rtol=0, atol=1e-9 * (1.0 + scale))
     # lowering Z at active entry k = (i, j) by s lowers the face's
     # Z - alpha - beta there by s (1 - K[k, i] - K[k, n + j]), which is 0
     # where A's graph is a forest
@@ -285,16 +291,7 @@ def _solve_inputs(draw):
         rows = draw(st.integers(3, 10))
         graph = build_torus(rows, draw(st.integers(3, 32 // rows)))
     else:
-        n = draw(st.integers(3, 32))
-        if kind == "ring":
-            graph = build_ring(n)
-        elif kind == "complete":
-            graph = build_complete(n)
-        elif kind == "star":
-            graph = Topology(n, tuple((0, i) for i in range(1, n)))
-        else:
-            graph = build_random_connected(
-                n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
+        graph = _draw_graph(draw, kind, draw(st.integers(3, 32)))
     scale = 10.0 ** draw(st.floats(-4.0, 4.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     return scale * rng.standard_normal((10, graph.n)), graph
@@ -303,15 +300,28 @@ def _solve_inputs(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_solve_inputs())
 def test_solve_with_the_face_matches_newton_alone(case):
-    """The face only replaces Newton's projection where it reproduces it, so
-    a solve takes the same path with it as with Newton alone."""
+    """Every face output a solve accepts is Newton's projection of the same
+    input, so the face changes nothing a solve computes. Newton runs to a
+    residual of 1e-13 here: at _PROJECTION_TOL the two differ by up to
+    3e-11, as either may stop anywhere below it."""
     g, graph = case
-    cfg, params = SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300)
-    w = ce_gme(g, graph, cfg, params).w
+    support = graph.support_mask()
+    accepted = []
+    apply = gme._Face.apply
+
+    def recording(self, z):
+        hit = apply(self, z)
+        if hit is not None:
+            accepted.append((z, hit[0]))
+        return hit
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gme._Face, "apply", lambda self, z: None)
-        newton = ce_gme(g, graph, cfg, params).w
-    np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
+        mp.setattr(gme._Face, "apply", recording)
+        ce_gme(g, graph, SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300))
+        mp.setattr(gme, "_PROJECTION_TOL", 1e-13)
+        for z, w in accepted:
+            newton, _ = gme._newton_projection(z, support, None)
+            np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
 
 
 def test_solver_params_validation():
@@ -387,7 +397,7 @@ def test_solver_stops_at_the_first_increase(monkeypatch):
 
     def raising(z, support, ab):
         calls.append(ab)
-        return worse, ab
+        return worse, np.zeros(10)
 
     monkeypatch.setattr(gme, "_newton_projection", raising)
     w = solve_gme(gamma, graph, init=init)
@@ -411,6 +421,86 @@ def test_solver_drives_structured_instance_to_zero():
     start = project_feasible(rng.uniform(0, 1, (6, 6)), graph)
     w = solve_gme(gamma, graph, init=start)
     assert gme_objective(gamma, w) <= 1e-6 * np.linalg.norm(gamma.gamma, 2)
+
+
+@st.composite
+def _certify_inputs(draw):
+    """(Gamma, graph, init): the Gram matrix of 1 to 10 Gaussian gradient
+    rows on a ring, complete, star or random connected graph of 2 to 16
+    nodes (rings from 3), and Metropolis-Hastings or a random feasible
+    init."""
+    kind = draw(st.sampled_from(["ring", "complete", "star", "random"]))
+    graph = _draw_graph(draw, kind, draw(st.integers(3 if kind == "ring" else 2, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    g = rng.standard_normal((draw(st.integers(1, 10)), graph.n))
+    init = metropolis_hastings(graph)
+    if draw(st.booleans()):
+        init = project_feasible(rng.uniform(0.0, 1.0, (graph.n, graph.n)), graph)
+    return gram(center_columns(g)), graph, init
+
+
+# two nodes and a ring of 3, from the identity: Metropolis-Hastings is
+# uniform averaging on both, which is optimal
+_PAIR = (gram(center_columns(np.array([[1.0, -2.0], [0.5, 3.0]]))), build_complete(2),
+         MixingMatrix(np.eye(2)))
+_RING3 = (gram(center_columns(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]]))),
+          build_ring(3), MixingMatrix(np.eye(3)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_certify_inputs(), st.floats(-8.0, 8.0))
+@example(_PAIR, 8.0)
+@example(_RING3, -8.0)
+def test_dual_gap_bounds_the_frank_wolfe_gap(case, log_c):
+    """Along projected-gradient steps on Gamma scaled by 1e-8 to 1e8, the
+    multiplier bound is nonnegative and at least the exact Frank-Wolfe gap,
+    from a minimum-cost assignment inside the support."""
+    gamma, graph, w = case
+    gamma = GramMatrix(10.0**log_c * gamma.gamma)
+    n, support = graph.n, graph.support_mask()
+    step = 0.5 / gamma.lam_max
+    w = w.w
+    for _ in range(4):
+        z = w - step * 2.0 * gamma.gamma @ w
+        w, ab = gme._newton_projection(z, support, None)
+        grad = 2.0 * gamma.gamma @ w
+        gap = gme._dual_gap(grad, w, support, ab, step)
+        rows, cols = linear_sum_assignment(np.where(support, grad, np.inf))
+        frank_wolfe = float((grad * w).sum() - grad[rows, cols].sum())
+        # W's sums are off by up to _PROJECTION_TOL, and the potentials
+        # are of order lam_max
+        slack = 1e-10 * n * gamma.lam_max
+        assert gap >= -slack
+        assert gap >= frank_wolfe - slack
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_certify_inputs(), st.floats(-8.0, 8.0))
+@example(_PAIR, 8.0)
+@example(_RING3, -8.0)
+def test_solver_is_certified_and_scales_with_gamma(case, log_c):
+    """A solve is never worse than its init and reports a certified gap
+    within tol * f(init); scaling Gamma by c scales the optimum by c, so
+    the two objectives agree within the two gaps, and each lower bound
+    lies below the other solve's (scaled) objective."""
+    gamma, graph, init = case
+    params = GmeSolverParams()
+    c = 10.0**log_c
+    scaled = GramMatrix(c * gamma.gamma)
+    f0 = gme_objective(gamma, init)
+    w, gap = gme._certified_solve(gamma, graph, params, init)
+    ws, gap_s = gme._certified_solve(scaled, graph, params, init)
+    f, fs = gme_objective(gamma, w), gme_objective(scaled, ws) / c
+    assert validate(w.w, graph, 1e-8) is None
+    assert f <= f0
+    # rounding: the objective's is about 1e-16 tr(Gamma) per entry, and
+    # rounds uniform averaging's zero to either sign
+    slack = 1e-13 * graph.n * np.trace(gamma.gamma)
+    for got in (gap, gap_s / c):
+        assert -slack <= got <= params.tol * f0 + slack
+    assert f - gap <= fs + slack
+    assert fs - gap_s / c <= f + slack
+    assert fs == pytest.approx(f, rel=0, abs=params.tol * f0 + slack)
 
 
 def test_ce_pipeline_determinism_and_zero_gradients():
