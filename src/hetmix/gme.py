@@ -290,24 +290,63 @@ def _hessian(active: np.ndarray) -> np.ndarray:
     return h
 
 
+def _components(active: np.ndarray) -> np.ndarray:
+    """Component label of each of the 2n vertices of A's bipartite graph,
+    rows then columns: the smallest row index in the vertex's component.
+
+    Two rows share a component when a path of active entries joins them,
+    which the boolean closure of A A^T, squared until it stops changing,
+    records; a column takes the label of one of its active rows. Every row
+    and column of a projection has an active entry, as it sums to one.
+    """
+    a = active.astype(float)
+    reach = a @ a.T > 0.0
+    while True:
+        r = reach.astype(float)
+        closed = r @ r > 0.0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    rows = reach.argmax(axis=1)
+    return np.concatenate([rows, rows[active.argmax(axis=0)]])
+
+
+def _pseudo_inverse(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """P^+ for P = _hessian(A), given the component labels of A's graph
+    (see _components).
+
+    P's null space is spanned by N, whose columns are s = (1_n, -1_n) on
+    the vertices of one component each and 0 elsewhere. So N N^T is
+    s_i s_j where i and j share a label and 0 elsewhere, N^T N is diagonal
+    in the components' vertex counts m, P + N N^T is invertible, and
+    P^+ = (P + N N^T)^-1 - N (N^T N)^-2 N^T.
+    """
+    n = p.shape[0] // 2
+    s = np.repeat([1.0, -1.0], n)
+    nnt = np.where(labels[:, None] == labels[None, :], np.outer(s, s), 0.0)
+    m = np.bincount(labels)[labels]
+    return np.linalg.inv(p + nnt) - nnt / np.outer(m, m)
+
+
 class _Face:
     """The projection on one active set A, where it is affine in Z.
 
     With A fixed, the unit row and column sums give P ab = E_A^T Z_A - 1
     (see _hessian), so the multipliers are ab = K^T Z_A + c, with
     K = E_A P^+ (|A| by 2n; row k sums the rows i_k and n + j_k of P^+),
-    c = -P^+ 1 plus a null-space part, and P^+ the pseudo-inverse (a ridge
-    in its place leaks about 1e-6 through P's null space). That null
-    space, one (1, -1) direction per component of the active graph,
+    c = -P^+ 1 plus a null-space part, and P^+ the pseudo-inverse, which
+    _pseudo_inverse builds from one inverse of P + N N^T for N a basis of
+    P's null space (a ridge in its place leaks about 1e-6 through it). The
+    null space, one (1, -1) direction per component of the active graph,
     leaves W unchanged but moves alpha + beta between components, and so
     moves Z - alpha - beta off A. So c keeps the null-space part of the
-    multipliers ab that Newton's method found for A. Without them (None)
-    the minimum-norm multipliers may fail the check where Newton's pass:
-    on a complete graph of 3 nodes whose projection is the identity, the
-    face then rejected the very input it was built from.
+    multipliers ab that Newton's method found for A: the minimum-norm
+    multipliers may fail the check where Newton's pass, and on a complete
+    graph of 3 nodes whose projection is the identity, the face then
+    rejected the very input it was built from.
     """
 
-    def __init__(self, active: np.ndarray, support: np.ndarray, ab: np.ndarray | None) -> None:
+    def __init__(self, active: np.ndarray, support: np.ndarray, ab: np.ndarray) -> None:
         n = support.shape[0]
         self.n = n
         self.active = np.flatnonzero(active)
@@ -318,15 +357,9 @@ class _Face:
         self.sums[rows, entry] = 1.0
         self.sums[n + cols, entry] = 1.0
         p = _hessian(active)
-        # P's null-space eigenvalues come out of rounding near 1e-15 of the
-        # largest, and its smallest nonzero one is above 1e-6 of it for
-        # n <= 64 (4 / m^2 on a component of m vertices); numpy's default
-        # cutoff of 1e-15 inverted a null direction on a 10-node forest
-        pinv = np.linalg.pinv(p, 1e-10, hermitian=True)
-        self.k = pinv[rows] + pinv[n + cols]
-        self.c = -pinv.sum(axis=1)
-        if ab is not None:
-            self.c += ab - p @ (pinv @ ab)
+        p_plus = _pseudo_inverse(p, _components(active))
+        self.k = p_plus[rows] + p_plus[n + cols]
+        self.c = -p_plus.sum(axis=1) + (ab - p @ (p_plus @ ab))
 
     def apply(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The projection of z and its multipliers if A is its active set,

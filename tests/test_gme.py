@@ -1,12 +1,11 @@
 """Centering, Gram matrices, sketching, projection, and the QP solver."""
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from hetmix import gme
 from hetmix.gme import (
@@ -238,16 +237,27 @@ def test_projection_succeeds_or_raises_arithmetic_error(case):
     assert validate(w, graph, 1e-8) is None
 
 
-def test_projection_stall_raises_quickly():
+def test_projection_stall_raises_quickly(monkeypatch):
     """At scale 1.2e6 the rounding floor of the sums lies above
     _PROJECTION_TOL; the projection gives up once its residual stops
-    falling instead of running out its 5000 iterations."""
+    falling instead of running out its 5000 iterations. It evaluates the
+    primal 91 times on this input; running out the cap would take over
+    5000 evaluations, and the bound leaves room for rounding to move the
+    count."""
     graph = build_random_connected(21, 0.5, 5)
     z = 1.2e6 * np.random.default_rng(5).standard_normal((21, 21))
-    start = time.perf_counter()
+    calls = 0
+    primal = gme._primal
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return primal(*args)
+
+    monkeypatch.setattr(gme, "_primal", counting)
     with pytest.raises(ArithmeticError, match="stalled at residual"):
         project_feasible(z, graph)
-    assert time.perf_counter() - start < 0.05
+    assert calls <= 200
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -280,6 +290,44 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     moved = z.copy()
     moved.flat[face.active[k]] -= (got.flat[face.active[k]] + 1.0) / slack[k]
     assert face.apply(moved) is None
+
+
+@st.composite
+def _active_sets(draw):
+    """Active sets of projections: that of a projection of a drawn input
+    (see _projection_inputs), or a permutation plus up to n drawn
+    entries, mostly a forest of several components."""
+    if draw(st.booleans()):
+        z, graph, _ = draw(_projection_inputs(max_log_scale=1.0))
+        return project_feasible(z, graph).w > 0.0
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    active = np.zeros((n, n), dtype=bool)
+    active[np.arange(n), rng.permutation(n)] = True
+    extra = rng.integers(0, n, (draw(st.integers(0, n)), 2))
+    active[extra[:, 0], extra[:, 1]] = True
+    return active
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_active_sets())
+@example(np.eye(3, dtype=bool))  # the identity on a complete graph of 3
+@example(np.eye(2, dtype=bool))
+@example(np.ones((2, 2), dtype=bool))
+def test_face_pseudo_inverse_matches_pinv(active):
+    """The face's components are those of the active graph, and its P^+
+    from one inverse is numpy's pseudo-inverse."""
+    p = gme._hessian(active)
+    labels = gme._components(active)
+    count, theirs = connected_components(p, directed=False)
+    pairs = set(zip(labels.tolist(), theirs.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == count
+    # P's null-space eigenvalues come out of rounding near 1e-15 of its
+    # largest, where numpy's default cutoff may invert them; its smallest
+    # nonzero one is above 1e-5 of the largest at these sizes
+    ref = np.linalg.pinv(p, 1e-10, hermitian=True)
+    got = gme._pseudo_inverse(p, labels)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @st.composite
