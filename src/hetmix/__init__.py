@@ -26,9 +26,7 @@ from .mixing import (
     compose,
     deviation_operator_norm,
     metropolis_hastings,
-    optimal_spectral_gap_weights,
     pairing_matrix,
-    uniform_averaging,
     uniform_clique_averaging,
     validate,
 )

@@ -279,7 +279,7 @@ def _mean_point_run(problem, graph, cfg, solver_params):
     """
     state = {}
 
-    def matrices(t, x, u):
+    def matrices(t, x, g):
         if t % cfg.period == 0:
             gamma = gram(center_columns(_mean_point_grads(problem, x)))
             state["w"] = solve_gme(gamma, graph, solver_params).w

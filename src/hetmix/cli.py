@@ -15,7 +15,7 @@ import os
 from math import isfinite, sqrt
 
 from .checks import run_checks
-from .mixing import metropolis_hastings, optimal_spectral_gap_weights, pairing_matrix, validate
+from .mixing import metropolis_hastings, pairing_matrix, validate
 from .objectives import (
     TWO_CLASS_NODES,
     make_random_quadratics,
@@ -44,12 +44,12 @@ _SCHEMA: dict[str, type] = {
     "n": int, "rows": int, "cols": int, "keep_fraction": float, "edge_file": str,
     "objective": str, "d": int, "m": int, "replicate_period": int,
     "noise_var": float, "steps": int, "lr": float, "lr_relative": float,
-    "period": int, "sketch_dim": int, "alternate": bool, "momentum": float,
-    "window": int, "reps": int, "seed": int,
+    "period": int, "sketch_dim": int, "alternate": bool, "window": int,
+    "reps": int, "seed": int,
 }
 _REQUIRED = ("name", "out", "algorithm", "topology", "objective", "d", "steps", "seed")
 # keys passed through to RunConfig, which owns their defaults and range checks
-_RUN_KEYS = ("algorithm", "steps", "period", "sketch_dim", "alternate", "momentum", "window")
+_RUN_KEYS = ("algorithm", "steps", "period", "sketch_dim", "alternate", "window")
 _BOOL = {"true": True, "false": False}
 
 # Each config choice maps a name to (the keys it needs, its builder). The
@@ -73,7 +73,7 @@ _OBJECTIVES = {
         sqrt(cfg.get("noise_var", 0.0)))),
 }
 # fixed weights of the algorithms that do not re-optimize their matrix
-_WEIGHTS = {"mh": ((), metropolis_hastings), "spectral": ((), optimal_spectral_gap_weights)}
+_WEIGHTS = {"mh": ((), metropolis_hastings)}
 # each key that picks a builder: its table, and its choice when the key is
 # absent (None where the key is required)
 _CHOICES = {"topology": (_TOPOLOGIES, None), "objective": (_OBJECTIVES, None),
@@ -202,7 +202,7 @@ def _run_repetition(cfg: dict, rep: int) -> MetricsLog:
     run_cfg = _run_config(
         cfg, lr, sketch_seed=seed + 20_000 + rep, noise_seed=seed + 10_000 + rep
     )
-    if run_cfg.algorithm in ("hadsgd", "hadsgd_momentum"):
+    if run_cfg.algorithm == "hadsgd":
         return run_hadsgd(problem, topology, run_cfg)
     fixed = _builder(cfg, "weights")(topology)
     pairs = None

@@ -15,11 +15,9 @@ __all__ = [
     "Violation",
     "metropolis_hastings",
     "uniform_clique_averaging",
-    "uniform_averaging",
     "pairing_matrix",
     "deviation_operator_norm",
     "compose",
-    "optimal_spectral_gap_weights",
     "validate",
 ]
 
@@ -140,11 +138,6 @@ def uniform_clique_averaging(partition: CliquePartition) -> MixingMatrix:
     return MixingMatrix(w)
 
 
-def uniform_averaging(n: int) -> MixingMatrix:
-    """The rank-one matrix (1/n) 11^T; feasible only on a complete graph."""
-    return MixingMatrix(np.full((n, n), 1.0 / n))
-
-
 def pairing_matrix(n: int) -> MixingMatrix:
     """Average consecutive pairs (0,1), (2,3), ... with weight 1/2 each."""
     if n % 2:
@@ -170,33 +163,3 @@ def compose(a: MixingMatrix, b: MixingMatrix) -> MixingMatrix:
     # sums of numerically-projected factors are only 1e-8-accurate, and
     # products inherit that error
     return MixingMatrix(a.w @ b.w, sum_atol=1e-8)
-
-
-def optimal_spectral_gap_weights(topology: Topology, iters: int = 500) -> MixingMatrix:
-    """Symmetric feasible weights minimizing ||W - J||_2 by projected subgradient.
-
-    The subgradient of the extreme eigenvalue is the outer product of its
-    eigenvector; steps shrink as 0.5/sqrt(k+1) and each iterate is pushed
-    back onto the polytope (then symmetrized, which the polytope allows).
-    Starts at Metropolis-Hastings and tracks the best iterate, so the
-    result is never worse than that start.
-    """
-    from .gme import project_feasible  # the projector lives with the solver
-
-    n = topology.n
-    w = metropolis_hastings(topology).w.copy()
-    best_w, best_dev = None, np.inf
-    for k in range(iters + 1):
-        evals, evecs = np.linalg.eigh(w - 1.0 / n)
-        dev = max(evals[-1], -evals[0])
-        if dev < best_dev:
-            best_w, best_dev = w.copy(), dev
-        if k == iters or best_dev == 0.0:
-            break
-        if evals[-1] >= -evals[0]:
-            grad = np.outer(evecs[:, -1], evecs[:, -1])
-        else:
-            grad = -np.outer(evecs[:, 0], evecs[:, 0])
-        w = project_feasible(w - (0.5 / sqrt(k + 1)) * grad, topology).w
-        w = (w + w.T) / 2.0
-    return MixingMatrix(best_w, sum_atol=1e-8)

@@ -1,8 +1,9 @@
 """Decentralized SGD runners with per-step metrics.
 
-All variants share the update skeleton X <- (X - eta U) W applied as a
-right multiplication, starting from X = 0, with metrics recorded before
-each update from the step's own state, gradients, and applied matrix.
+Every runner applies X <- X Wp - eta G Wg by right multiplication,
+starting from X = 0: Wp mixes the parameters and Wg the stochastic
+gradients G. Metrics are recorded before each update from the step's own
+state, gradients, and gradient-mixing matrix.
 
 The step loop makes no metric reduction: it buffers each step's X, G and
 G Wg, and the five metrics of every _CHUNK steps are computed together,
@@ -32,7 +33,7 @@ __all__ = [
     "check_update_identity",
 ]
 
-ALGORITHMS = ("dsgd", "hadsgd", "decoupled", "hadsgd_momentum")
+ALGORITHMS = ("dsgd", "hadsgd", "decoupled")
 
 _CSV_HEADER = (
     "step,dist_to_opt,dist_to_opt_mean,consensus,gme,loss,"
@@ -56,11 +57,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Shared knobs for both runners.
-
-    period, sketch_*, alternate and momentum matter only to run_hadsgd,
-    which applies momentum iff algorithm is "hadsgd_momentum".
-    """
+    """Shared knobs for both runners; period, sketch_* and alternate matter only to run_hadsgd."""
 
     steps: int
     lr: float
@@ -70,7 +67,6 @@ class RunConfig:
     sketch_seed: int = 0
     noise_seed: int = 0
     alternate: bool = True
-    momentum: float = 0.9
     window: int = 5
 
     def __post_init__(self) -> None:
@@ -84,15 +80,13 @@ class RunConfig:
             raise ValueError(f"period must be >= 1, got {self.period}")
         if self.sketch_dim < 1:
             raise ValueError(f"sketch_dim must be >= 1, got {self.sketch_dim}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
 class Trace:
-    """Everything needed to replay a run: states, applied directions, applied matrices."""
+    """Everything needed to replay a run: states, gradients, applied matrices."""
 
     lr: float
     x: list[np.ndarray] = field(default_factory=list)
@@ -164,17 +158,15 @@ def _simulate(
     topology: Topology,
     cfg: RunConfig,
     matrices_for_step,
-    direction_for_step=None,
     record_trace: bool = False,
 ) -> MetricsLog:
-    """Run X <- X Wp - eta U Wg for cfg.steps steps and return the metrics.
+    """Run X <- X Wp - eta G Wg for cfg.steps steps and return the metrics.
 
     A step draws the gradients G (exact where problem.noise_std is 0),
-    takes the direction U (G itself unless direction_for_step replaces
-    it) and the matrices (Wp, Wg), and updates X. It computes G Wg once,
-    for the gme metric and, when U is G, for the update. Its X, G and
-    G Wg go into buffers of _CHUNK steps, which _chunk_metrics reduces
-    every _CHUNK steps and after the last step.
+    takes the matrices (Wp, Wg) = matrices_for_step(t, X, G), and updates
+    X. It computes G Wg once, for both the gme metric and the update. Its
+    X, G and G Wg go into buffers of _CHUNK steps, which _chunk_metrics
+    reduces every _CHUNK steps and after the last step.
     """
     d, n = problem.d, topology.n
     if problem.n != n:
@@ -194,18 +186,17 @@ def _simulate(
     trace = Trace(lr=cfg.lr, x=[x.copy()]) if record_trace else None
     for t in range(cfg.steps):
         g = stochastic_gradients(problem, x, rng)
-        u = g if direction_for_step is None else direction_for_step(t, g)
-        wp, wg = matrices_for_step(t, x, u)
+        wp, wg = matrices_for_step(t, x, g)
         k = t % size
         xs[k] = x
         gs[k] = g
         gw = np.matmul(g, wg, out=gws[k])
-        x_new = x @ wp - cfg.lr * (gw if u is g else u @ wg)
+        x_new = x @ wp - cfg.lr * gw
         big = np.abs(x_new).max()
         if not big <= _DIVERGE_LIMIT:
             raise DivergenceError(t, f"|X| reached {big:.3e}")
         if trace is not None:
-            trace.grads.append(u.copy())
+            trace.grads.append(g.copy())
             trace.w_params.append(wp.copy())
             trace.w_grads.append(wg.copy())
             trace.x.append(x_new.copy())
@@ -235,7 +226,7 @@ def run_dsgd(
     wp = w.w
     wg = wp if w_grads is None else w_grads.w
 
-    def matrices(t, x, u):
+    def matrices(t, x, g):
         return wp, wg
 
     return _simulate(problem, topology, cfg, matrices, record_trace=record_trace)
@@ -252,39 +243,29 @@ def run_hadsgd(
     """Periodically re-optimized mixing from sketched stochastic gradients.
 
     At steps divisible by cfg.period the mixing matrix is refreshed by
-    ce_gme on the step's direction matrix with sketch seed
+    ce_gme on the step's stochastic gradients with sketch seed
     cfg.sketch_seed + refresh index. With cfg.alternate the optimized
     matrix is applied on even steps and Metropolis-Hastings on odd steps
     (refreshes always land on even steps).
-
-    With cfg.algorithm == "hadsgd_momentum" a buffered direction replaces
-    the raw gradient everywhere: m <- beta m + G and U = beta m + G, so the
-    first step applies (1 + beta) G. With momentum = 0 this reproduces the
-    plain run exactly.
     """
-    mh = metropolis_hastings(topology).w
-    state = {"w": mh, "m": None}
+    mh = w = metropolis_hastings(topology).w
 
-    def matrices(t, x, u):
+    def matrices(t, x, g):
+        nonlocal w
         if t % cfg.period == 0:
             scfg = SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // cfg.period)
-            state["w"] = ce_gme(u, topology, scfg, solver_params).w
+            w = ce_gme(g, topology, scfg, solver_params).w
         if cfg.alternate and t % 2 == 1:
             return mh, mh
-        return state["w"], state["w"]
+        return w, w
 
-    def momentum(t, g):
-        state["m"] = g if state["m"] is None else cfg.momentum * state["m"] + g
-        return cfg.momentum * state["m"] + g
-
-    direction = momentum if cfg.algorithm == "hadsgd_momentum" else None
-    return _simulate(problem, topology, cfg, matrices, direction, record_trace=record_trace)
+    return _simulate(problem, topology, cfg, matrices, record_trace=record_trace)
 
 
 def check_update_identity(trace: Trace) -> float:
     """Largest scaled residual of the update identity over a recorded trace.
 
-    Recomputes X^{t+1} = X^t Wp - eta U Wg from the recorded inputs of
+    Recomputes X^{t+1} = X^t Wp - eta G Wg from the recorded inputs of
     every step and compares against the recorded next iterate. Residuals
     are scaled by the magnitudes entering the identity; a faithful trace
     stays at roundoff level regardless of how accurately the matrices
@@ -294,8 +275,8 @@ def check_update_identity(trace: Trace) -> float:
     lr = trace.lr
     for t in range(len(trace.grads)):
         x0, x1 = trace.x[t], trace.x[t + 1]
-        u, wp, wg = trace.grads[t], trace.w_params[t], trace.w_grads[t]
-        pred = x0 @ wp - lr * (u @ wg)
-        scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(x1) + lr * np.linalg.norm(u)
+        g, wp, wg = trace.grads[t], trace.w_params[t], trace.w_grads[t]
+        pred = x0 @ wp - lr * (g @ wg)
+        scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(x1) + lr * np.linalg.norm(g)
         worst = max(worst, float(np.linalg.norm(x1 - pred)) / scale)
     return worst

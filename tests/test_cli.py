@@ -71,7 +71,7 @@ def test_parse_types_comments_and_order():
 
 
 def test_serialize_round_trips():
-    text = _BASE.format(out="/tmp/x") + "alternate = true\nmomentum = 0.85\n"
+    text = _BASE.format(out="/tmp/x") + "alternate = true\nkeep_fraction = 0.85\n"
     cfg = parse_config(text)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
@@ -89,6 +89,8 @@ def test_serialize_round_trips():
         ("topology = mesh", "topology"),
         ("objective = linear", "objective"),
         ("weights = best", "weights"),
+        ("weights = spectral", "weights"),
+        ("algorithm = hadsgd_momentum", "algorithm"),
         ("momentum = 1.5", "momentum"),
         ("keep_fraction = 0", "keep_fraction"),
         ("seed = -1", "seed must be"),
@@ -281,9 +283,7 @@ def test_run_with_edge_file_topology(tmp_path):
     assert (tmp_path / "e" / "tiny_rep0.csv").exists()
 
 
-def test_run_with_spectral_weights_and_hadsgd(tmp_path):
-    text = _BASE.format(out=tmp_path / "s") + "weights = spectral\n"
-    assert cmd_run(_write(tmp_path, text)) == 0
+def test_run_with_hadsgd(tmp_path):
     text = (_BASE.format(out=tmp_path / "h")
             .replace("algorithm = dsgd", "algorithm = hadsgd")
             + "period = 10\nsketch_dim = 4\n")

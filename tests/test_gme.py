@@ -21,7 +21,7 @@ from hetmix.gme import (
     sketch,
     solve_gme,
 )
-from hetmix.mixing import MixingMatrix, metropolis_hastings, uniform_averaging, validate
+from hetmix.mixing import MixingMatrix, metropolis_hastings, validate
 from hetmix.topology import (
     Topology,
     build_complete,
@@ -384,7 +384,7 @@ def test_solver_params_validation():
 def test_objective_hand_values():
     gamma = GramMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     assert gme_objective(gamma, MixingMatrix(np.eye(2))) == pytest.approx(2.0)
-    assert gme_objective(gamma, uniform_averaging(2)) == pytest.approx(0.0)
+    assert gme_objective(gamma, MixingMatrix(np.full((2, 2), 1 / 2))) == pytest.approx(0.0)
 
 
 def test_objective_equals_mixed_gradient_gap():

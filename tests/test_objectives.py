@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmix.mixing import uniform_averaging
+from hetmix.mixing import MixingMatrix
 from hetmix.objectives import (
     Problem,
     full_gradients,
@@ -193,14 +193,14 @@ def test_zeta_hand_value():
     p = _two_point_problem()
     # gradients at the origin are [2,0] and [-2,0]: mean zero, spread 4
     assert zeta_sq_at(p, np.zeros(2)) == pytest.approx(4.0)
-    assert relative_zeta_sq_at(p, np.zeros(2), uniform_averaging(2)) == pytest.approx(0.0)
+    assert relative_zeta_sq_at(p, np.zeros(2), np.full((2, 2), 1 / 2)) == pytest.approx(0.0)
     assert relative_zeta_sq_at(p, np.zeros(2), np.eye(2)) == pytest.approx(4.0)
 
 
 def test_relative_zeta_accepts_matrix_or_array():
     p = make_random_quadratics(4, 3, seed=9)
     x = np.ones(3)
-    w = uniform_averaging(4)
+    w = MixingMatrix(np.full((4, 4), 1 / 4))
     assert relative_zeta_sq_at(p, x, w) == pytest.approx(
         relative_zeta_sq_at(p, x, w.w)
     )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetmix.simulator
-from hetmix.mixing import metropolis_hastings, pairing_matrix, uniform_averaging
+from hetmix.mixing import metropolis_hastings, pairing_matrix
 from hetmix.objectives import (
     full_gradients,
     make_random_quadratics,
@@ -102,29 +102,12 @@ def test_decoupled_with_equal_matrices_is_dsgd():
     assert _logs_equal(run_dsgd(p, g, w, cfg), run_dsgd(p, g, w, cfg2, w_grads=w))
 
 
-def test_momentum_zero_is_plain_hadsgd():
-    p = make_random_quadratics(6, 4, seed=41, noise_std=0.2)
-    g = build_ring(6)
-    base = dict(steps=60, lr=0.2 / p.smoothness, period=20, sketch_dim=8,
-                noise_seed=2, sketch_seed=5)
-    log_h = run_hadsgd(p, g, RunConfig(algorithm="hadsgd", **base))
-    log_m = run_hadsgd(
-        p, g, RunConfig(algorithm="hadsgd_momentum", momentum=0.0, **base)
-    )
-    assert _logs_equal(log_h, log_m)
-    # the algorithm name alone switches momentum on
-    log_b = run_hadsgd(
-        p, g, RunConfig(algorithm="hadsgd_momentum", momentum=0.5, **base)
-    )
-    assert not _logs_equal(log_h, log_b)
-
-
 def test_uniform_mixing_tracks_centralized_descent():
     p = make_random_quadratics(5, 4, seed=42)
     g = build_complete(5)
     lr = 0.5 / p.smoothness
     cfg = RunConfig(steps=300, lr=lr)
-    log = run_dsgd(p, g, uniform_averaging(5), cfg)
+    log = run_dsgd(p, g, metropolis_hastings(g), cfg)
     oracle = _centralized_gd(p, lr, 300)
     np.testing.assert_allclose(log.dist_to_opt_mean, oracle, atol=1e-9)
     assert log.consensus.max() < 1e-18
@@ -269,7 +252,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(steps=1, lr=0.1, algorithm="sgd")
     with pytest.raises(ValueError):
-        RunConfig(steps=1, lr=0.1, momentum=1.0)
+        RunConfig(steps=1, lr=0.1, period=0)
     with pytest.raises(ValueError):
         RunConfig(steps=1, lr=0.1, window=0)
 
@@ -329,7 +312,7 @@ def _runs(draw):
     return n, d, steps, draw(st.integers(0, 2**16)), draw(st.booleans())
 
 
-@pytest.mark.parametrize("algorithm", ["dsgd", "decoupled", "hadsgd", "hadsgd_momentum"])
+@pytest.mark.parametrize("algorithm", ["dsgd", "decoupled", "hadsgd"])
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(_runs())
 def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
@@ -340,16 +323,14 @@ def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
     g = build_random_connected(n, 0.5, seed)
     cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, algorithm=algorithm,
                     sketch_dim=8, noise_seed=seed)
-    if algorithm.startswith("hadsgd"):
+    if algorithm == "hadsgd":
         log = run_hadsgd(p, g, cfg, solver_params=_SHALLOW, record_trace=True)
     else:
-        w_grads = uniform_averaging(n) if algorithm == "decoupled" else None
+        w_grads = metropolis_hastings(build_complete(n)) if algorithm == "decoupled" else None
         log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=w_grads,
                        record_trace=True)
     want = _per_step_metrics(p, log.trace)
-    # the momentum trace records U, not the G that gme mixes
-    names = _X_METRICS if algorithm == "hadsgd_momentum" else (*_X_METRICS, "gme")
-    for name in names:
+    for name in (*_X_METRICS, "gme"):
         assert np.array_equal(getattr(log, name), want[name]), name
 
 
@@ -375,7 +356,7 @@ def test_high_lr_warns_before_running():
     g = build_complete(4)
     with pytest.warns(RuntimeWarning, match="2/L"):
         try:
-            run_dsgd(p, g, uniform_averaging(4),
+            run_dsgd(p, g, metropolis_hastings(g),
                      RunConfig(steps=200, lr=3.0 / p.smoothness))
         except DivergenceError:
             pass
