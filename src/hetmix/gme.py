@@ -16,10 +16,12 @@ and column multipliers finds it, warm-started within a solve from the
 last projection's multipliers. Successive projections of a solve mostly share their
 active set (the support entries where W > 0), on which the multipliers,
 and so the projection, are affine in the input's entries on that set. The
-solver caches that map to the 2n multipliers for the last active set
-Newton found, and accepts its output only where it passes the
-projection's optimality conditions, so Newton runs only when the active
-set changes.
+solver caches that map to the 2n multipliers for one active set, and
+accepts its output only where it passes the projection's optimality
+conditions. When the active set changes, the map's own multipliers
+predict the new one, and rank-one updates move the map there; Newton
+runs, and the map is built afresh, only where such a move declines or
+its output still fails the conditions.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ _STALL_ITERS = 50
 _PROJECTION_TOL = 1e-10
 _PROJECTION_MAX_ITERS = 5000  # Newton iterations of one projection
 _GAP_EVERY = 10  # solver iterations between two certificates
+# caps of the face's rank-one moves (see _Face.move): entries changed per
+# move, and moves per projection before Newton's method takes over
+_MOVE_ENTRIES = 4
+_MOVE_STEPS = 3
+# 1 - v^T P^+ v below which an entry to remove counts as a bridge: 0 up to
+# rounding on a bridge, at least 1 / (2n) on any other entry
+_BRIDGE_TOL = 1e-8
 
 __all__ = [
     "GramMatrix",
@@ -344,22 +353,43 @@ class _Face:
     multipliers may fail the check where Newton's pass, and on a complete
     graph of 3 nodes whose projection is the identity, the face then
     rejected the very input it was built from.
+
+    A face whose active graph is one component can move to a nearby
+    active set (see move and follow) by rank-one updates of P^+, in place
+    of a Newton projection and a fresh build.
     """
 
     def __init__(self, active: np.ndarray, support: np.ndarray, ab: np.ndarray) -> None:
         n = support.shape[0]
         self.n = n
+        self.support = support
+        p = _hessian(active)
+        labels = _components(active)
+        self.connected = not labels.any()  # every vertex shares row 0's label
+        self.p_plus = _pseudo_inverse(p, labels)
+        self.null = ab - p @ (self.p_plus @ ab)
+        self._gather(active)
+
+    def _gather(self, active: np.ndarray) -> None:
+        """K, c and the index arrays of active set A from P^+ and the
+        null-space part of c."""
+        n = self.n
+        self.mask = active
         self.active = np.flatnonzero(active)
-        self.rest = np.flatnonzero(support & ~active)
+        self.rest = np.flatnonzero(self.support & ~active)
         rows, cols = np.divmod(self.active, n)
         entry = np.arange(self.active.size)
         self.sums = np.zeros((2 * n, self.active.size))  # E_A^T, W_A to its row then column sums
         self.sums[rows, entry] = 1.0
         self.sums[n + cols, entry] = 1.0
-        p = _hessian(active)
-        p_plus = _pseudo_inverse(p, _components(active))
-        self.k = p_plus[rows] + p_plus[n + cols]
-        self.c = -p_plus.sum(axis=1) + (ab - p @ (p_plus @ ab))
+        self.k = self.p_plus[rows] + self.p_plus[n + cols]
+        self.c = -self.p_plus.sum(axis=1) + self.null
+
+    def _excess(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The face's multipliers ab for z, and Z - alpha - beta at them."""
+        n = self.n
+        ab = z.take(self.active) @ self.k + self.c
+        return ab, z - ab[:n, None] - ab[None, n:]
 
     def apply(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The projection of z and its multipliers if A is its active set,
@@ -372,8 +402,7 @@ class _Face:
         does.
         """
         n = self.n
-        ab = z.take(self.active) @ self.k + self.c
-        t = z - ab[:n, None] - ab[None, n:]
+        ab, t = self._excess(z)
         wa = t.take(self.active)
         # negated tests, so that a NaN fails them
         if not (wa.min() > 0.0 and t.take(self.rest).max(initial=0.0) <= 0.0):
@@ -383,6 +412,55 @@ class _Face:
         w = np.zeros(n * n)
         w[self.active] = wa
         return w.reshape(n, n), ab
+
+    def follow(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """apply(z), moving the face after each decline to the active set
+        its own multipliers give z, up to _MOVE_STEPS times; None if it
+        still declines or a move does.
+
+        On A the face's multipliers are the exact semismooth Newton step
+        on the projection's dual, so the entries of the support where
+        Z - alpha - beta > 0 at them are the active set that step predicts.
+        """
+        hit = self.apply(z)
+        for _ in range(_MOVE_STEPS):
+            if hit is not None or not self.move(self.support & (self._excess(z)[1] > 0.0)):
+                break
+            hit = self.apply(z)
+        return hit
+
+    def move(self, active: np.ndarray) -> bool:
+        """Make this the face of active set A1 by rank-one updates of P^+;
+        False, with the face unchanged, where they do not apply.
+
+        Each entry (i, j) that enters or leaves A adds or removes v v^T in
+        P, for v = e_i + e_{n+j}. While A's graph is one component, v lies
+        in P's range, so P^+ -+ (P^+ v)(P^+ v)^T / (1 +- v^T P^+ v) is the
+        new pseudo-inverse (Sherman-Morrison), and the null space, with
+        the null-space part of c, is unchanged. Entries enter first, as
+        they never split the graph. Removing an entry leaves it one
+        component unless the entry is a bridge, where 1 - v^T P^+ v is 0;
+        on any other entry it is at least 1 / (2n), one over the length
+        of a cycle through it. The move declines where A's graph has several
+        components, where more than _MOVE_ENTRIES entries change, none
+        does, or an entry to remove is a bridge.
+        """
+        n = self.n
+        entered = np.flatnonzero(active & ~self.mask)
+        left = np.flatnonzero(self.mask & ~active)
+        if not (self.connected and 0 < entered.size + left.size <= _MOVE_ENTRIES):
+            return False
+        p_plus = self.p_plus.copy()
+        for sign, entries in ((-1.0, entered), (1.0, left)):
+            for i, j in zip(*np.divmod(entries, n)):
+                pv = p_plus[i] + p_plus[n + j]
+                denom = 1.0 - sign * (pv[i] + pv[n + j])
+                if not denom > _BRIDGE_TOL:
+                    return False
+                p_plus += np.outer(pv, pv) * (sign / denom)
+        self.p_plus = p_plus
+        self._gather(active)
+        return True
 
 
 def gme_objective(gamma: GramMatrix, w: MixingMatrix) -> float:
@@ -410,14 +488,19 @@ def solve_gme(
     once the objective is within params.tol * f(init) of the best such
     bound, or at params.max_iters.
 
-    Each projection first tries the affine map of the last active set A
-    Newton's method found (see _Face), which costs two matrix-vector
-    products of size |A| by 2n. Its output is accepted only if it
-    satisfies the projection's optimality conditions: positive on A,
-    Z - alpha - beta at most 0 on the rest of the support, and row and
-    column sums within _PROJECTION_TOL of one. Otherwise Newton's method
-    projects, warm-started from the last projection's multipliers, and its
-    active set replaces the cached one. The step takes Gamma's largest
+    Each projection first tries the affine map of the cached active set A
+    (see _Face), which costs two matrix-vector products of size |A| by
+    2n. Its output is accepted only if it satisfies the projection's
+    optimality conditions: positive on A, Z - alpha - beta at most 0 on
+    the rest of the support, and row and column sums within
+    _PROJECTION_TOL of one. Otherwise the map moves to the active set its
+    multipliers predict, by one rank-one update of P^+ per changed entry,
+    and tries again, up to _MOVE_STEPS times (see _Face.follow). Where a
+    move declines (A's graph has several components, more than
+    _MOVE_ENTRIES entries change, or an entry to remove is a bridge) or
+    the last try fails, Newton's method projects, warm-started from the
+    last projection's multipliers, and the map is built afresh for its
+    active set. The step takes Gamma's largest
     eigenvalue from GramMatrix. A zero Gamma or f(init) returns the init
     unchanged.
     """
@@ -453,7 +536,7 @@ def _certified_solve(
     ab, face, bound = None, None, -np.inf
     for it in range(1, params.max_iters + 1):
         z = y - step * 2.0 * gy
-        hit = None if face is None else face.apply(z)
+        hit = None if face is None else face.follow(z)
         if hit is None:
             w_new, ab = _newton_projection(z, support, ab)
             face = _Face(w_new > 0.0, support, ab)

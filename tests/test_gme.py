@@ -22,6 +22,7 @@ from hetmix.gme import (
     solve_gme,
 )
 from hetmix.mixing import MixingMatrix, metropolis_hastings, validate
+from hetmix.objectives import full_gradients, make_random_quadratics
 from hetmix.topology import (
     Topology,
     build_complete,
@@ -331,6 +332,76 @@ def test_face_pseudo_inverse_matches_pinv(active):
 
 
 @st.composite
+def _active_set_pairs(draw):
+    """(A, A1, support, ab): the active set A and multipliers ab of the
+    projection of a Gaussian input of scale 0.01 to 1 on a ring, star,
+    torus or random connected graph, and A1, A with 1 to 4 drawn support
+    entries toggled. Small inputs keep most of the support active, so A's
+    graph is often one component."""
+    kind = draw(st.sampled_from(["ring", "star", "torus", "random"]))
+    if kind == "torus":
+        graph = build_torus(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
+    else:
+        graph = _draw_graph(draw, kind, draw(st.integers(3, 24)))
+    n, support = graph.n, graph.support_mask()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    z = 10.0 ** draw(st.floats(-2.0, 0.0)) * rng.standard_normal((n, n))
+    w, ab = gme._newton_projection(z, support, None)
+    toggled = rng.choice(np.flatnonzero(support), draw(st.integers(1, 4)), replace=False)
+    moved = w > 0.0
+    moved.flat[toggled] ^= True
+    return w > 0.0, moved, support, ab
+
+
+def _one_component(active):
+    return connected_components(gme._hessian(active), directed=False)[0] == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_active_set_pairs())
+def test_face_move_matches_a_fresh_build(case):
+    """A face moves exactly where both active graphs are one component,
+    and its P^+, K and c then match a fresh build for A1 from the same
+    multipliers; elsewhere it declines and is left as it was."""
+    active, moved, support, ab = case
+    face = gme._Face(active, support, ab)
+    before = face.p_plus.copy()
+    ok = face.move(moved)
+    assert ok == (_one_component(active) and _one_component(moved))
+    if not ok:
+        assert face.mask is active
+        np.testing.assert_array_equal(face.p_plus, before)
+        return
+    fresh = gme._Face(moved, support, ab)
+    np.testing.assert_array_equal(face.active, fresh.active)
+    np.testing.assert_array_equal(face.rest, fresh.rest)
+    for got, ref in ((face.p_plus, fresh.p_plus), (face.k, fresh.k), (face.c, fresh.c)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_face_move_declines_a_bridge_several_components_and_large_changes():
+    """On a ring of 6, rows i -> columns i and i + 1 form one cycle through
+    all 12 vertices: removing one entry leaves a path, every entry of which
+    is a bridge."""
+    n = 6
+    support = build_ring(n).support_mask()
+    cycle = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    face = gme._Face(cycle, support, np.zeros(2 * n))
+    path = cycle.copy()
+    path[0, 1] = False
+    assert face.move(path)
+    split = path.copy()
+    split[3, 4] = False
+    assert not face.move(split)
+    assert face.mask is path
+    assert not face.move(support)  # 6 entries enter, more than _MOVE_ENTRIES
+    identity = gme._Face(np.eye(n, dtype=bool), support, np.zeros(2 * n))
+    joined = np.eye(n, dtype=bool)
+    joined[0, 1] = True
+    assert not identity.move(joined)  # 6 components, then 5
+
+
+@st.composite
 def _solve_inputs(draw):
     """(G, graph): 10-by-n Gaussian gradients of a drawn scale on a ring,
     complete, star, random connected or torus graph of 3 to 32 nodes."""
@@ -345,31 +416,67 @@ def _solve_inputs(draw):
     return scale * rng.standard_normal((10, graph.n)), graph
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(_solve_inputs())
-def test_solve_with_the_face_matches_newton_alone(case):
+def test_solve_with_the_face_matches_newton_alone():
     """Every face output a solve accepts is Newton's projection of the same
-    input, so the face changes nothing a solve computes. Newton runs to a
+    input, so the face changes nothing a solve computes, and some of those
+    outputs come from faces that moved (see _Face.move). Newton runs to a
     residual of 1e-13 here: at _PROJECTION_TOL the two differ by up to
     3e-11, as either may stop anywhere below it."""
-    g, graph = case
-    support = graph.support_mask()
-    accepted = []
-    apply = gme._Face.apply
+    from_moved = []
+    apply, move = gme._Face.apply, gme._Face.move
 
-    def recording(self, z):
-        hit = apply(self, z)
-        if hit is not None:
-            accepted.append((z, hit[0]))
-        return hit
+    def moving(self, active):
+        ok = move(self, active)
+        self.moved = getattr(self, "moved", False) or ok
+        return ok
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gme._Face, "apply", recording)
-        ce_gme(g, graph, SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300))
-        mp.setattr(gme, "_PROJECTION_TOL", 1e-13)
-        for z, w in accepted:
-            newton, _ = gme._newton_projection(z, support, None)
-            np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_solve_inputs())
+    def check(case):
+        g, graph = case
+        support = graph.support_mask()
+        accepted = []
+
+        def recording(self, z):
+            hit = apply(self, z)
+            if hit is not None:
+                accepted.append((z, hit[0]))
+                from_moved.append(getattr(self, "moved", False))
+            return hit
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gme._Face, "apply", recording)
+            mp.setattr(gme._Face, "move", moving)
+            ce_gme(g, graph, SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300))
+            mp.setattr(gme, "_PROJECTION_TOL", 1e-13)
+            for z, w in accepted:
+                newton, _ = gme._newton_projection(z, support, None)
+                np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
+
+    check()
+    assert any(from_moved)
+
+
+def test_moved_faces_save_newton_projections(monkeypatch):
+    """On three random graphs of 16 nodes, a face that moves to the next
+    active set replaces the Newton projection and the fresh build a miss
+    would cost. The three solves make 5 Newton projections, against 73
+    with a Newton projection on every miss; the bound leaves room for
+    rounding to move the count."""
+    calls = 0
+    newton = gme._newton_projection
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return newton(*args)
+
+    monkeypatch.setattr(gme, "_newton_projection", counting)
+    for s in range(3):
+        problem = make_random_quadratics(16, 10, seed=s)
+        g = full_gradients(problem, np.random.default_rng(s).standard_normal((10, 16)))
+        ce_gme(g, build_random_connected(16, 0.5, s), SketchConfig(k=16, seed=s))
+    assert calls <= 15
 
 
 def test_solver_params_validation():
