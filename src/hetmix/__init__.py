@@ -46,8 +46,6 @@ from .simulator import (
     DivergenceError,
     MetricsLog,
     RunConfig,
-    Trace,
-    check_update_identity,
     run_dsgd,
     run_hadsgd,
 )

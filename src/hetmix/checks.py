@@ -33,6 +33,7 @@ from .mixing import (
     validate,
 )
 from .objectives import (
+    _common_point_gradients,
     full_gradients,
     make_random_quadratics,
     make_replicated,
@@ -41,7 +42,7 @@ from .objectives import (
     relative_zeta_sq_at,
     zeta_sq_at,
 )
-from .simulator import RunConfig, _simulate, check_update_identity, run_dsgd, run_hadsgd
+from .simulator import RunConfig, _refreshed, _simulate, run_dsgd
 from .topology import (
     CliquePartition,
     Topology,
@@ -50,7 +51,8 @@ from .topology import (
     build_ring,
 )
 
-__all__ = ["CheckResult", "quadratic_program_oracle", "run_checks", "CHECKS"]
+__all__ = ["CheckResult", "quadratic_program_oracle", "check_update_identity",
+           "run_checks", "CHECKS"]
 
 
 @dataclass
@@ -152,6 +154,51 @@ def _example1_gradients(rng: np.random.Generator, d: int = 10) -> np.ndarray:
     g0, g1 = rng.standard_normal(d), rng.standard_normal(d)
     g2 = -g0 - g1
     return np.column_stack([g0, g1, g2, g0, g1, g2])
+
+
+# ---------------------------------------------------------------------------
+# recorded runs
+
+def _recording(matrices_for_step, steps: list):
+    """matrices_for_step, appending each call's (X, G, Wp, Wg) to steps.
+
+    It keeps references, not copies: _simulate never writes an X or G
+    after passing it to the hook, and no hook writes the matrices it returns.
+    """
+    def hook(t, x, g):
+        wp, wg = matrices_for_step(t, x, g)
+        steps.append((x, g, wp, wg))
+        return wp, wg
+
+    return hook
+
+
+def _record(problem, topology, cfg, matrices_for_step) -> list:
+    """(X, G, Wp, Wg) of each of cfg.steps steps, and one more entry whose X follows the last.
+
+    The run takes cfg.steps + 1 steps, so the hook sees the last step's next X.
+    """
+    steps = []
+    _simulate(problem, topology, replace(cfg, steps=cfg.steps + 1),
+              _recording(matrices_for_step, steps))
+    return steps
+
+
+def check_update_identity(steps: list, lr: float) -> float:
+    """Largest scaled residual of the update identity over recorded steps.
+
+    Recomputes X^{t+1} = X^t Wp - lr G Wg from the recorded inputs of
+    every step and compares against the next entry's X. Residuals are
+    scaled by the magnitudes entering the identity; a faithful record
+    stays at roundoff level regardless of how accurately the matrices
+    themselves are doubly stochastic.
+    """
+    worst = 0.0
+    for (x0, g, wp, wg), (x1, *_) in zip(steps, steps[1:]):
+        pred = x0 @ wp - lr * (g @ wg)
+        scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(x1) + lr * np.linalg.norm(g)
+        worst = max(worst, float(np.linalg.norm(x1 - pred)) / scale)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +319,7 @@ def solver_matches_oracle() -> CheckResult:
 
 
 def _mean_point_run(problem, graph, cfg, solver_params):
-    """Run of a noiseless problem with the mean-point refresh used by the drift checks.
+    """Recorded steps of a noiseless problem with the mean-point refresh of the drift checks.
 
     Every cfg.period steps the matrix is re-solved from the exact gradients
     at the mean iterate; it is applied at every step, with no alternation.
@@ -285,7 +332,7 @@ def _mean_point_run(problem, graph, cfg, solver_params):
             state["w"] = solve_gme(gamma, graph, solver_params).w
         return state["w"], state["w"]
 
-    return _simulate(problem, graph, cfg, matrices, record_trace=True)
+    return _record(problem, graph, cfg, matrices)
 
 
 def _drift_trajectories():
@@ -303,14 +350,12 @@ def _drift_trajectories():
         )
         # the drift bound holds for whichever feasible matrix the refresh
         # produces, so a shallow solve is enough
-        log = _mean_point_run(problem, graph, cfg,
-                              GmeSolverParams(max_iters=60, tol=1e-6))
-        yield problem, cfg, log.trace
+        yield problem, cfg, _mean_point_run(problem, graph, cfg,
+                                            GmeSolverParams(max_iters=60, tol=1e-6))
 
 
 def _mean_point_grads(problem, x):
-    tiled = np.tile(x.mean(axis=1, keepdims=True), (1, problem.n))
-    return full_gradients(problem, tiled)
+    return _common_point_gradients(problem, x.mean(axis=1))
 
 
 def gme_drift_over_period() -> CheckResult:
@@ -321,25 +366,22 @@ def gme_drift_over_period() -> CheckResult:
     """
     worst_period = -np.inf
     worst_local = -np.inf
-    for problem, cfg, trace in _drift_trajectories():
+    for problem, cfg, rec in _drift_trajectories():
         lr_l_sq = (cfg.lr * problem.smoothness) ** 2
         h = cfg.period
-        steps = len(trace.grads)
-        grad_sq = [float(np.sum(g**2)) for g in trace.grads]
+        steps = cfg.steps
+        grad_sq = [float(np.sum(g**2)) for _, g, _, _ in rec[:steps]]
         for t in range(0, steps - h + 1, h):
-            w = trace.w_grads[t]
-            g_now = _mean_point_grads(problem, trace.x[t])
-            g_next = _mean_point_grads(problem, trace.x[t + h])
+            w = rec[t][3]
+            g_now = _mean_point_grads(problem, rec[t][0])
+            g_next = _mean_point_grads(problem, rec[t + h][0])
             lhs = np.sum((g_next @ w - g_next.mean(axis=1, keepdims=True)) ** 2)
             base = np.sum((g_now @ w - g_now.mean(axis=1, keepdims=True)) ** 2)
             drift = 2.0 * h * lr_l_sq * sum(grad_sq[t:t + h])
             worst_period = max(worst_period, lhs - 2.0 * base - drift)
         l_sq = problem.smoothness**2
-        for t in range(steps):
-            x = trace.x[t]
-            w = trace.w_grads[t]
+        for x, g_loc, _, w in rec[:steps]:
             g_mean = _mean_point_grads(problem, x)
-            g_loc = trace.grads[t]
             lhs = np.sum((g_mean @ w - g_mean.mean(axis=1, keepdims=True)) ** 2)
             rhs = 2.0 * np.sum((g_loc @ w - g_loc.mean(axis=1, keepdims=True)) ** 2)
             rhs += 2.0 * l_sq * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
@@ -380,24 +422,24 @@ def update_identity() -> CheckResult:
     """Recorded trajectories satisfy the centered update identity; doctoring is caught."""
     graph = build_ring(8)
     problem = make_random_quadratics(8, 5, 5, seed=21, noise_std=0.3)
+    mh = metropolis_hastings(graph).w
     cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, noise_seed=3)
-    log1 = run_dsgd(problem, graph, metropolis_hastings(graph), cfg, record_trace=True)
+    rec1 = _record(problem, graph, cfg, lambda t, x, g: (mh, mh))
     hcfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, algorithm="hadsgd",
                      period=20, sketch_dim=16, noise_seed=4)
-    log2 = run_hadsgd(problem, graph, hcfg, record_trace=True,
-                      solver_params=GmeSolverParams(max_iters=60, tol=1e-6))
+    schedule = _refreshed(graph, hcfg, GmeSolverParams(max_iters=60, tol=1e-6))
+    rec2 = _record(problem, graph, hcfg, schedule)
     two_class = make_two_class_ring(6, seed=5)
     ring16 = build_ring(16)
+    mh16, pairs = metropolis_hastings(ring16).w, pairing_matrix(16).w
     dcfg = RunConfig(steps=40, lr=0.1 / two_class.smoothness,
                      algorithm="decoupled", noise_seed=6)
-    log3 = run_dsgd(two_class, ring16, metropolis_hastings(ring16), dcfg,
-                    w_grads=pairing_matrix(16), record_trace=True)
-    resid = max(check_update_identity(log.trace) for log in (log1, log2, log3))
-    doctored = log1.trace
-    saved = doctored.w_params[3]
-    doctored.w_params[3] = np.full_like(saved, 1.0 / graph.n)
-    caught = check_update_identity(doctored) > 1e-6
-    doctored.w_params[3] = saved
+    rec3 = _record(two_class, ring16, dcfg, lambda t, x, g: (mh16, pairs))
+    resid = max(check_update_identity(rec, c.lr)
+                for rec, c in ((rec1, cfg), (rec2, hcfg), (rec3, dcfg)))
+    x, g, wp, wg = rec1[3]
+    doctored = rec1[:3] + [(x, g, np.full_like(wp, 1.0 / graph.n), wg)] + rec1[4:]
+    caught = check_update_identity(doctored, cfg.lr) > 1e-6
     ok = resid <= 1e-10 and caught
     return CheckResult(
         "update_identity", ok,

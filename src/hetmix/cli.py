@@ -31,8 +31,7 @@ from .topology import (
     load_edge_list,
 )
 
-__all__ = ["ConfigError", "parse_config", "serialize_config",
-           "cmd_run", "cmd_compare", "cmd_check", "main"]
+__all__ = ["ConfigError", "parse_config", "cmd_run", "cmd_compare", "cmd_check", "main"]
 
 
 class ConfigError(ValueError):
@@ -72,12 +71,11 @@ _OBJECTIVES = {
         n, cfg["d"], cfg.get("m", cfg["d"]), cfg["replicate_period"], seed,
         sqrt(cfg.get("noise_var", 0.0)))),
 }
-# fixed weights of the algorithms that do not re-optimize their matrix
-_WEIGHTS = {"mh": ((), metropolis_hastings)}
 # each key that picks a builder: its table, and its choice when the key is
-# absent (None where the key is required)
+# absent (None where the key is required); weights are the fixed matrix of
+# the algorithms that do not re-optimize it
 _CHOICES = {"topology": (_TOPOLOGIES, None), "objective": (_OBJECTIVES, None),
-            "weights": (_WEIGHTS, "mh")}
+            "weights": ({"mh": ((), metropolis_hastings)}, "mh")}
 
 
 def parse_config(text: str) -> dict:
@@ -155,18 +153,6 @@ def _validate_values(values: dict) -> None:
         raise ConfigError(f"keep_fraction must be in (0, 1], got {values['keep_fraction']}")
     if "noise_var" in values and values["noise_var"] < 0:
         raise ConfigError(f"noise_var must be nonnegative, got {values['noise_var']}")
-
-
-def serialize_config(cfg: dict) -> str:
-    """Inverse of parse_config up to whitespace; preserves every pair and its order."""
-    lines = []
-    for key, val in cfg.items():
-        if isinstance(val, bool):
-            sval = "true" if val else "false"
-        else:
-            sval = repr(val) if isinstance(val, float) else str(val)
-        lines.append(f"{key} = {sval}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> dict:

@@ -76,17 +76,14 @@ class Violation:
         return f"{self.kind} violation at {self.index} (magnitude {self.magnitude:.3e})"
 
 
-def validate(w, topology: Topology, atol: float | None = None) -> Violation | None:
+def validate(w, topology: Topology) -> Violation | None:
     """Check a candidate against the mixing-matrix constraints for a graph.
 
     Checks run in order shape, finiteness, entry range, row sums, column
     sums, support, and the first failure is returned; None means valid.
-    With atol=None the defaults are 1e-12 for range, 1e-9 for sums, and
-    exact zero off support; a given atol replaces all three.
+    The tolerances are 1e-12 for range, 1e-9 for sums, and exact zero off
+    support.
     """
-    range_atol = _RANGE_CLAMP if atol is None else atol
-    sum_atol = _SUM_ATOL if atol is None else atol
-    support_atol = 0.0 if atol is None else atol
     arr = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
     n = topology.n
     if arr.shape != (n, n):
@@ -95,19 +92,19 @@ def validate(w, topology: Topology, atol: float | None = None) -> Violation | No
         i, j = np.argwhere(~np.isfinite(arr))[0]
         return Violation("finite", (int(i), int(j)), float(arr[i, j]))
     out = np.maximum(-arr, arr - 1.0)
-    if out.max() > range_atol:
+    if out.max() > _RANGE_CLAMP:
         i, j = np.unravel_index(np.argmax(out), out.shape)
         return Violation("range", (int(i), int(j)), float(arr[i, j]))
     rows = arr.sum(axis=1) - 1.0
-    if np.abs(rows).max() > sum_atol:
+    if np.abs(rows).max() > _SUM_ATOL:
         i = int(np.abs(rows).argmax())
         return Violation("row_sum", (i,), float(rows[i]))
     cols = arr.sum(axis=0) - 1.0
-    if np.abs(cols).max() > sum_atol:
+    if np.abs(cols).max() > _SUM_ATOL:
         j = int(np.abs(cols).argmax())
         return Violation("col_sum", (j,), float(cols[j]))
     off = np.abs(arr) * ~topology.support_mask()
-    if off.max() > support_atol:
+    if off.max() > 0.0:
         i, j = np.unravel_index(np.argmax(off), off.shape)
         return Violation("support", (int(i), int(j)), float(arr[i, j]))
     return None

@@ -13,7 +13,7 @@ with batched reductions that keep the bits of their per-step forms.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,9 @@ __all__ = [
     "ALGORITHMS",
     "RunConfig",
     "MetricsLog",
-    "Trace",
     "DivergenceError",
     "run_dsgd",
     "run_hadsgd",
-    "check_update_identity",
 ]
 
 ALGORITHMS = ("dsgd", "hadsgd", "decoupled")
@@ -85,17 +83,6 @@ class RunConfig:
 
 
 @dataclass
-class Trace:
-    """Everything needed to replay a run: states, gradients, applied matrices."""
-
-    lr: float
-    x: list[np.ndarray] = field(default_factory=list)
-    grads: list[np.ndarray] = field(default_factory=list)
-    w_params: list[np.ndarray] = field(default_factory=list)
-    w_grads: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
 class MetricsLog:
     """Per-step series (length = steps), plus trailing-window averages.
 
@@ -113,7 +100,6 @@ class MetricsLog:
     dist_to_opt_w: np.ndarray
     consensus_w: np.ndarray
     gme_w: np.ndarray
-    trace: Trace | None = None
 
     def write_csv(self, path) -> None:
         """10-significant-digit CSV with LF endings and a fixed header."""
@@ -158,7 +144,6 @@ def _simulate(
     topology: Topology,
     cfg: RunConfig,
     matrices_for_step,
-    record_trace: bool = False,
 ) -> MetricsLog:
     """Run X <- X Wp - eta G Wg for cfg.steps steps and return the metrics.
 
@@ -166,7 +151,9 @@ def _simulate(
     takes the matrices (Wp, Wg) = matrices_for_step(t, X, G), and updates
     X. It computes G Wg once, for both the gme metric and the update. Its
     X, G and G Wg go into buffers of _CHUNK steps, which _chunk_metrics
-    reduces every _CHUNK steps and after the last step.
+    reduces every _CHUNK steps and after the last step. The X and G passed
+    to matrices_for_step are fresh arrays that nothing writes afterwards,
+    so a hook may keep them to record the run.
     """
     d, n = problem.d, topology.n
     if problem.n != n:
@@ -183,7 +170,6 @@ def _simulate(
             ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")}
     size = min(_CHUNK, cfg.steps)
     xs, gs, gws = (np.empty((size, d, n)) for _ in range(3))
-    trace = Trace(lr=cfg.lr, x=[x.copy()]) if record_trace else None
     for t in range(cfg.steps):
         g = stochastic_gradients(problem, x, rng)
         wp, wg = matrices_for_step(t, x, g)
@@ -195,11 +181,6 @@ def _simulate(
         big = np.abs(x_new).max()
         if not big <= _DIVERGE_LIMIT:
             raise DivergenceError(t, f"|X| reached {big:.3e}")
-        if trace is not None:
-            trace.grads.append(g.copy())
-            trace.w_params.append(wp.copy())
-            trace.w_grads.append(wg.copy())
-            trace.x.append(x_new.copy())
         x = x_new
         if k == size - 1 or t == cfg.steps - 1:
             _chunk_metrics(problem, xs[:k + 1], gs[:k + 1], gws[:k + 1], cols, t - k)
@@ -209,7 +190,6 @@ def _simulate(
         dist_to_opt_w=_trailing_mean(cols["dist_to_opt"], cfg.window),
         consensus_w=_trailing_mean(cols["consensus"], cfg.window),
         gme_w=_trailing_mean(cols["gme"], cfg.window),
-        trace=trace,
     )
 
 
@@ -220,7 +200,6 @@ def run_dsgd(
     cfg: RunConfig,
     *,
     w_grads: MixingMatrix | None = None,
-    record_trace: bool = False,
 ) -> MetricsLog:
     """Fixed mixing: X <- X W - eta G Wg, with Wg = W unless w_grads splits them."""
     wp = w.w
@@ -229,25 +208,11 @@ def run_dsgd(
     def matrices(t, x, g):
         return wp, wg
 
-    return _simulate(problem, topology, cfg, matrices, record_trace=record_trace)
+    return _simulate(problem, topology, cfg, matrices)
 
 
-def run_hadsgd(
-    problem: Problem,
-    topology: Topology,
-    cfg: RunConfig,
-    *,
-    solver_params: GmeSolverParams | None = None,
-    record_trace: bool = False,
-) -> MetricsLog:
-    """Periodically re-optimized mixing from sketched stochastic gradients.
-
-    At steps divisible by cfg.period the mixing matrix is refreshed by
-    ce_gme on the step's stochastic gradients with sketch seed
-    cfg.sketch_seed + refresh index. With cfg.alternate the optimized
-    matrix is applied on even steps and Metropolis-Hastings on odd steps
-    (refreshes always land on even steps).
-    """
+def _refreshed(topology: Topology, cfg: RunConfig, solver_params: GmeSolverParams | None):
+    """The matrices_for_step of run_hadsgd, whose docstring gives the schedule."""
     mh = w = metropolis_hastings(topology).w
 
     def matrices(t, x, g):
@@ -259,24 +224,22 @@ def run_hadsgd(
             return mh, mh
         return w, w
 
-    return _simulate(problem, topology, cfg, matrices, record_trace=record_trace)
+    return matrices
 
 
-def check_update_identity(trace: Trace) -> float:
-    """Largest scaled residual of the update identity over a recorded trace.
+def run_hadsgd(
+    problem: Problem,
+    topology: Topology,
+    cfg: RunConfig,
+    *,
+    solver_params: GmeSolverParams | None = None,
+) -> MetricsLog:
+    """Periodically re-optimized mixing from sketched stochastic gradients.
 
-    Recomputes X^{t+1} = X^t Wp - eta G Wg from the recorded inputs of
-    every step and compares against the recorded next iterate. Residuals
-    are scaled by the magnitudes entering the identity; a faithful trace
-    stays at roundoff level regardless of how accurately the matrices
-    themselves are doubly stochastic.
+    At steps divisible by cfg.period the mixing matrix is refreshed by
+    ce_gme on the step's stochastic gradients with sketch seed
+    cfg.sketch_seed + refresh index. With cfg.alternate the optimized
+    matrix is applied on even steps and Metropolis-Hastings on odd steps
+    (refreshes always land on even steps).
     """
-    worst = 0.0
-    lr = trace.lr
-    for t in range(len(trace.grads)):
-        x0, x1 = trace.x[t], trace.x[t + 1]
-        g, wp, wg = trace.grads[t], trace.w_params[t], trace.w_grads[t]
-        pred = x0 @ wp - lr * (g @ wg)
-        scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(x1) + lr * np.linalg.norm(g)
-        worst = max(worst, float(np.linalg.norm(x1 - pred)) / scale)
-    return worst
+    return _simulate(problem, topology, cfg, _refreshed(topology, cfg, solver_params))

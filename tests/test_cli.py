@@ -20,7 +20,6 @@ from hetmix.cli import (
     cmd_run,
     main,
     parse_config,
-    serialize_config,
 )
 
 _BASE = """\
@@ -62,20 +61,15 @@ def _reference_adaptive(out, **changes):
 # --- parsing -----------------------------------------------------------
 
 def test_parse_types_comments_and_order():
-    cfg = parse_config(_BASE.format(out="/tmp/x") + "alternate = false\n")
-    assert cfg["n"] == 6 and isinstance(cfg["n"], int)
-    assert cfg["lr_relative"] == 0.2
-    assert cfg["alternate"] is False
-    assert list(cfg)[0] == "name"
-    assert "lr" not in cfg
-
-
-def test_serialize_round_trips():
-    text = _BASE.format(out="/tmp/x") + "alternate = true\nkeep_fraction = 0.85\n"
+    text = _BASE.format(out="/tmp/x") + "alternate = false\nkeep_fraction = 0.85\n"
     cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    assert list(again) == list(cfg)
+    want = {"name": "tiny", "out": "/tmp/x", "algorithm": "dsgd", "topology": "ring",
+            "n": 6, "objective": "random", "d": 4, "noise_var": 0.01, "steps": 25,
+            "lr_relative": 0.2, "window": 3, "reps": 2, "seed": 11,
+            "alternate": False, "keep_fraction": 0.85}
+    # every pair of the file, in its order, with its schema type
+    assert list(cfg.items()) == list(want.items())
+    assert [type(v) for v in cfg.values()] == [type(v) for v in want.values()]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetmix.simulator
+from hetmix.checks import _record, _recording, check_update_identity
 from hetmix.mixing import metropolis_hastings, pairing_matrix
 from hetmix.objectives import (
     full_gradients,
@@ -21,7 +22,8 @@ from hetmix.simulator import (
     DivergenceError,
     MetricsLog,
     RunConfig,
-    check_update_identity,
+    _refreshed,
+    _simulate,
     run_dsgd,
     run_hadsgd,
 )
@@ -49,13 +51,13 @@ def _brute_force_window(v, window):
 _X_METRICS = ("dist_to_opt", "dist_to_opt_mean", "consensus", "loss")
 
 
-def _per_step_metrics(problem, trace):
+def _per_step_metrics(problem, steps):
     """The metric lines of the simulator's step loop before it buffered
-    steps, evaluated on a trace; gme is right only where U is G."""
+    steps, evaluated on recorded (X, G, Wp, Wg) steps."""
     n = problem.n
     x_star = problem.x_star.reshape(-1, 1)
     cols = {name: [] for name in (*_X_METRICS, "gme")}
-    for x, g, wg in zip(trace.x, trace.grads, trace.w_grads):
+    for x, g, _, wg in steps:
         mean = x.mean(axis=1, keepdims=True)
         cols["dist_to_opt"].append(np.linalg.norm(x - x_star, axis=0).mean())
         cols["dist_to_opt_mean"].append(np.linalg.norm(mean - x_star))
@@ -63,6 +65,11 @@ def _per_step_metrics(problem, trace):
         cols["gme"].append(np.sum((g @ wg - g.mean(axis=1, keepdims=True)) ** 2))
         cols["loss"].append(problem.loss(mean[:, 0]))
     return {name: np.array(v) for name, v in cols.items()}
+
+
+def _fixed(wp, wg):
+    """The matrices_for_step of run_dsgd."""
+    return lambda t, x, g: (wp, wg)
 
 
 def _fstring_csv(log, path):
@@ -164,15 +171,16 @@ def test_alternate_interleaves_metropolis_hastings():
     mh = metropolis_hastings(g).w
     cfg = RunConfig(steps=9, lr=0.1 / p.smoothness, algorithm="hadsgd",
                     period=4, sketch_dim=8)
-    trace = run_hadsgd(p, g, cfg, record_trace=True, solver_params=_SHALLOW).trace
+    rec = _record(p, g, cfg, _refreshed(g, cfg, _SHALLOW))
     for t in (1, 3, 5, 7):
-        np.testing.assert_array_equal(trace.w_grads[t], mh)
-    assert not np.array_equal(trace.w_grads[0], mh)
+        np.testing.assert_array_equal(rec[t][2], mh)
+        np.testing.assert_array_equal(rec[t][3], mh)
+    assert not np.array_equal(rec[0][3], mh)
     # without alternation every step applies the refreshed matrix
     cfg2 = RunConfig(steps=9, lr=0.1 / p.smoothness, algorithm="hadsgd",
                      period=4, sketch_dim=8, alternate=False)
-    trace2 = run_hadsgd(p, g, cfg2, record_trace=True, solver_params=_SHALLOW).trace
-    np.testing.assert_array_equal(trace2.w_grads[0], trace2.w_grads[1])
+    rec2 = _record(p, g, cfg2, _refreshed(g, cfg2, _SHALLOW))
+    np.testing.assert_array_equal(rec2[0][3], rec2[1][3])
 
 
 def test_sketch_seed_changes_the_refresh():
@@ -202,14 +210,36 @@ def test_exact_gradients_ignore_the_noise_stream():
 def test_trace_recording_and_identity():
     p = make_random_quadratics(5, 4, seed=49, noise_std=0.3)
     g = build_ring(5)
-    w = metropolis_hastings(g)
+    w = metropolis_hastings(g).w
     cfg = RunConfig(steps=25, lr=0.1 / p.smoothness)
-    log = run_dsgd(p, g, w, cfg)
-    assert log.trace is None
-    log = run_dsgd(p, g, w, cfg, record_trace=True)
-    assert len(log.trace.x) == 26
-    assert len(log.trace.grads) == 25
-    assert check_update_identity(log.trace) <= 1e-12
+    rec = _record(p, g, cfg, _fixed(w, w))
+    assert len(rec) == 26
+    assert not rec[0][0].any()
+    assert check_update_identity(rec, cfg.lr) <= 1e-12
+    # the record is of the run that run_dsgd makes
+    want = run_dsgd(p, g, metropolis_hastings(g), cfg)
+    assert np.array_equal(want.gme, _per_step_metrics(p, rec[:25])["gme"])
+
+
+@pytest.mark.parametrize("algorithm", ["dsgd", "hadsgd"])
+def test_the_hook_inputs_are_never_written_after_the_call(algorithm):
+    p = make_random_quadratics(6, 4, seed=56, noise_std=0.3)
+    g = build_random_connected(6, 0.6, seed=4)
+    cfg = RunConfig(steps=2 * _CHUNK + 3, lr=0.2 / p.smoothness, algorithm=algorithm,
+                    period=10, sketch_dim=8, noise_seed=7)
+    mh = metropolis_hastings(g).w
+    schedule = _refreshed(g, cfg, _SHALLOW) if algorithm == "hadsgd" else _fixed(mh, mh)
+    kept, copies = [], []
+
+    def hook(t, x, grads):
+        kept.append((x, grads))
+        copies.append((x.copy(), grads.copy()))
+        return schedule(t, x, grads)
+
+    _simulate(p, g, cfg, hook)
+    assert len(kept) == cfg.steps
+    for (x, grads), (x0, g0) in zip(kept, copies):
+        assert np.array_equal(x, x0) and np.array_equal(grads, g0)
 
 
 # --- failure modes and config validation ------------------------------
@@ -324,12 +354,14 @@ def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
     cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, algorithm=algorithm,
                     sketch_dim=8, noise_seed=seed)
     if algorithm == "hadsgd":
-        log = run_hadsgd(p, g, cfg, solver_params=_SHALLOW, record_trace=True)
+        schedule = _refreshed(g, cfg, _SHALLOW)
     else:
-        w_grads = metropolis_hastings(build_complete(n)) if algorithm == "decoupled" else None
-        log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=w_grads,
-                       record_trace=True)
-    want = _per_step_metrics(p, log.trace)
+        wp = metropolis_hastings(g).w
+        wg = metropolis_hastings(build_complete(n)).w if algorithm == "decoupled" else wp
+        schedule = _fixed(wp, wg)
+    rec = []
+    log = _simulate(p, g, cfg, _recording(schedule, rec))
+    want = _per_step_metrics(p, rec)
     for name in (*_X_METRICS, "gme"):
         assert np.array_equal(getattr(log, name), want[name]), name
 
