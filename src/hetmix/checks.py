@@ -344,10 +344,7 @@ def _drift_trajectories():
         problem = make_random_quadratics(8, 6, 6, seed=seed)
         graph = (build_ring(8) if seed % 2 else
                  build_random_connected(8, 0.5, seed=seed + 50))
-        cfg = RunConfig(
-            steps=steps, lr=0.1 / problem.smoothness, algorithm="hadsgd",
-            period=period, alternate=False,
-        )
+        cfg = RunConfig(steps=steps, lr=0.1 / problem.smoothness, period=period)
         # the drift bound holds for whichever feasible matrix the refresh
         # produces, so a shallow solve is enough
         yield problem, cfg, _mean_point_run(problem, graph, cfg,

@@ -3,8 +3,8 @@
 Experiments are described by flat text configs, one `key = value` per
 line with `#` comments. Exit codes: 0 success, 1 a property check
 failed, 2 the config could not be parsed or validated, a builder rejected
-one of its values, or its `out` directory could not be created, 3 a run
-failed numerically.
+one of its values, or its `out` directory or a CSV in it could not be
+written, 3 a run failed numerically.
 """
 
 from __future__ import annotations
@@ -233,7 +233,10 @@ def cmd_run(config_path: str) -> int:
     for rep in range(cfg.get("reps", 1)):
         log = _run_repetition(cfg, rep)
         out = os.path.join(cfg["out"], f"{cfg['name']}_rep{rep}.csv")
-        log.write_csv(out)
+        try:
+            log.write_csv(out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
         print(_final_line(cfg["name"], rep, log))
     return 0
 

@@ -17,11 +17,11 @@ last projection's multipliers. Successive projections of a solve mostly share th
 active set (the support entries where W > 0), on which the multipliers,
 and so the projection, are affine in the input's entries on that set. The
 solver caches that map to the 2n multipliers for one active set, and
-accepts its output only where it passes the projection's optimality
-conditions. When the active set changes, the map's own multipliers
-predict the new one, and rank-one updates move the map there; Newton
-runs, and the map is built afresh, only where such a move declines or
-its output still fails the conditions.
+accepts the W its multipliers give by the residual test Newton's method
+stops on. When the active set changes, that W's active set is the one
+the map predicts, and rank-one updates move the map there; Newton runs,
+and the map is built afresh, only where such a move declines or its
+output still fails the test.
 """
 
 from __future__ import annotations
@@ -354,9 +354,11 @@ class _Face:
     graph of 3 nodes whose projection is the identity, the face then
     rejected the very input it was built from.
 
-    A face whose active graph is one component can move to a nearby
-    active set (see move and follow) by rank-one updates of P^+, in place
-    of a Newton projection and a fresh build.
+    The face only predicts multipliers; project accepts the W they give
+    by Newton's own residual test. A face whose active graph is one
+    component can move to a nearby active set (see move and project) by
+    rank-one updates of P^+, in place of a Newton projection and a fresh
+    build.
     """
 
     def __init__(self, active: np.ndarray, support: np.ndarray, ab: np.ndarray) -> None:
@@ -371,63 +373,33 @@ class _Face:
         self._gather(active)
 
     def _gather(self, active: np.ndarray) -> None:
-        """K, c and the index arrays of active set A from P^+ and the
+        """K, c and the flat indices of active set A from P^+ and the
         null-space part of c."""
-        n = self.n
         self.mask = active
         self.active = np.flatnonzero(active)
-        self.rest = np.flatnonzero(self.support & ~active)
-        rows, cols = np.divmod(self.active, n)
-        entry = np.arange(self.active.size)
-        self.sums = np.zeros((2 * n, self.active.size))  # E_A^T, W_A to its row then column sums
-        self.sums[rows, entry] = 1.0
-        self.sums[n + cols, entry] = 1.0
-        self.k = self.p_plus[rows] + self.p_plus[n + cols]
+        rows, cols = np.divmod(self.active, self.n)
+        self.k = self.p_plus[rows] + self.p_plus[self.n + cols]
         self.c = -self.p_plus.sum(axis=1) + self.null
 
-    def _excess(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The face's multipliers ab for z, and Z - alpha - beta at them."""
-        n = self.n
-        ab = z.take(self.active) @ self.k + self.c
-        return ab, z - ab[:n, None] - ab[None, n:]
+    def project(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The projection of z and its multipliers, or None.
 
-    def apply(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The projection of z and its multipliers if A is its active set,
-        else None.
-
-        A is z's active set exactly when W = Z - alpha - beta is positive
-        on A, Z - alpha - beta is at most 0 on the rest of the support, and
-        W's row and column sums are within _PROJECTION_TOL of one: the
-        conditions that make W the projection, as Newton's residual check
-        does.
+        The face's multipliers ab for z give W = max(Z - alpha - beta, 0)
+        on the support (see _primal), which is the projection wherever its
+        row and column sums are within _PROJECTION_TOL of one: Newton's
+        own stopping test. Where they are not, ab is the exact semismooth
+        Newton step on the projection's dual from A, so W's active set is
+        the one that step predicts; the face moves there and tries again,
+        up to _MOVE_STEPS times. None where it still fails or a move
+        declines.
         """
-        n = self.n
-        ab, t = self._excess(z)
-        wa = t.take(self.active)
-        # negated tests, so that a NaN fails them
-        if not (wa.min() > 0.0 and t.take(self.rest).max(initial=0.0) <= 0.0):
-            return None
-        if not np.abs(self.sums @ wa - 1.0).max() <= _PROJECTION_TOL:
-            return None
-        w = np.zeros(n * n)
-        w[self.active] = wa
-        return w.reshape(n, n), ab
-
-    def follow(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """apply(z), moving the face after each decline to the active set
-        its own multipliers give z, up to _MOVE_STEPS times; None if it
-        still declines or a move does.
-
-        On A the face's multipliers are the exact semismooth Newton step
-        on the projection's dual, so the entries of the support where
-        Z - alpha - beta > 0 at them are the active set that step predicts.
-        """
-        hit = self.apply(z)
-        for _ in range(_MOVE_STEPS):
-            if hit is not None or not self.move(self.support & (self._excess(z)[1] > 0.0)):
-                break
-            hit = self.apply(z)
-        return hit
+        for moves in range(_MOVE_STEPS + 1):
+            ab = z.take(self.active) @ self.k + self.c
+            _, w, active, res = _primal(z, self.support, ab)
+            if np.abs(res).max() <= _PROJECTION_TOL:
+                return w, ab
+            if moves == _MOVE_STEPS or not self.move(active):
+                return None
 
     def move(self, active: np.ndarray) -> bool:
         """Make this the face of active set A1 by rank-one updates of P^+;
@@ -488,21 +460,22 @@ def solve_gme(
     once the objective is within params.tol * f(init) of the best such
     bound, or at params.max_iters.
 
-    Each projection first tries the affine map of the cached active set A
-    (see _Face), which costs two matrix-vector products of size |A| by
-    2n. Its output is accepted only if it satisfies the projection's
-    optimality conditions: positive on A, Z - alpha - beta at most 0 on
-    the rest of the support, and row and column sums within
-    _PROJECTION_TOL of one. Otherwise the map moves to the active set its
-    multipliers predict, by one rank-one update of P^+ per changed entry,
-    and tries again, up to _MOVE_STEPS times (see _Face.follow). Where a
+    Each projection first tries the affine map from Z to the multipliers
+    of the cached active set A (see _Face), which costs one
+    matrix-vector product of size |A| by 2n. The W = max(Z - alpha -
+    beta, 0) of its multipliers is accepted by the test Newton's method
+    stops on: row and column sums within _PROJECTION_TOL of one, which
+    with W's sign makes it the projection. Otherwise the map moves to
+    W's active set, by one rank-one update of P^+ per changed entry, and
+    tries again, up to _MOVE_STEPS times (see _Face.project). Where a
     move declines (A's graph has several components, more than
     _MOVE_ENTRIES entries change, or an entry to remove is a bridge) or
     the last try fails, Newton's method projects, warm-started from the
     last projection's multipliers, and the map is built afresh for its
     active set. The step takes Gamma's largest
     eigenvalue from GramMatrix. A zero Gamma or f(init) returns the init
-    unchanged.
+    unchanged. Raises ValueError, naming the entry, if init has weight
+    off the topology's support.
     """
     return _certified_solve(gamma, topology, params, init)[0]
 
@@ -522,6 +495,11 @@ def _certified_solve(
     g = gamma.gamma
     if g.shape[0] != topology.n or init.n != topology.n:
         raise ValueError("Gram matrix, topology, and init sizes disagree")
+    support = topology.support_mask()
+    off = np.argwhere((init.w != 0.0) & ~support)
+    if off.size:
+        i, j = off[0].tolist()
+        raise ValueError(f"init has weight {init.w[i, j]:.3g} off the support at ({i}, {j})")
     w = init.w
     gw = g @ w
     f = float((w * gw).sum())
@@ -529,14 +507,13 @@ def _certified_solve(
         return init, 0.0
     step = 0.5 / gamma.lam_max
     target = params.tol * f
-    support = topology.support_mask()
     # y is the extrapolated point and gy = Gamma y; beta is the momentum
     # weight that made y from the last two iterates
     y, gy, t, beta = w, gw, 1.0, 0.0
     ab, face, bound = None, None, -np.inf
     for it in range(1, params.max_iters + 1):
         z = y - step * 2.0 * gy
-        hit = None if face is None else face.follow(z)
+        hit = None if face is None else face.project(z)
         if hit is None:
             w_new, ab = _newton_projection(z, support, ab)
             face = _Face(w_new > 0.0, support, ab)

@@ -275,7 +275,7 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     t = z - ab[:n, None] - ab[None, n:]
     assume(np.abs(t[support]).min() > 1e-9 * (1.0 + scale))
     face = gme._Face(w > 0.0, support, ab)
-    hit = face.apply(z)
+    hit = face.project(z)
     assert hit is not None
     got, got_ab = hit
     np.testing.assert_allclose(got, w, rtol=0, atol=1e-9 * (1.0 + scale))
@@ -290,7 +290,10 @@ def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
     assume(slack[k] > 1e-3)
     moved = z.copy()
     moved.flat[face.active[k]] -= (got.flat[face.active[k]] + 1.0) / slack[k]
-    assert face.apply(moved) is None
+    # W then loses entry k, so its row i sums to at least 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gme, "_MOVE_STEPS", 0)
+        assert face.project(moved) is None
 
 
 @st.composite
@@ -374,7 +377,6 @@ def test_face_move_matches_a_fresh_build(case):
         return
     fresh = gme._Face(moved, support, ab)
     np.testing.assert_array_equal(face.active, fresh.active)
-    np.testing.assert_array_equal(face.rest, fresh.rest)
     for got, ref in ((face.p_plus, fresh.p_plus), (face.k, fresh.k), (face.c, fresh.c)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -423,7 +425,7 @@ def test_solve_with_the_face_matches_newton_alone():
     residual of 1e-13 here: at _PROJECTION_TOL the two differ by up to
     3e-11, as either may stop anywhere below it."""
     from_moved = []
-    apply, move = gme._Face.apply, gme._Face.move
+    project, move = gme._Face.project, gme._Face.move
 
     def moving(self, active):
         ok = move(self, active)
@@ -438,14 +440,14 @@ def test_solve_with_the_face_matches_newton_alone():
         accepted = []
 
         def recording(self, z):
-            hit = apply(self, z)
+            hit = project(self, z)
             if hit is not None:
                 accepted.append((z, hit[0]))
                 from_moved.append(getattr(self, "moved", False))
             return hit
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gme._Face, "apply", recording)
+            mp.setattr(gme._Face, "project", recording)
             mp.setattr(gme._Face, "move", moving)
             ce_gme(g, graph, SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300))
             mp.setattr(gme, "_PROJECTION_TOL", 1e-13)
@@ -565,6 +567,22 @@ def test_solver_handles_degenerate_grams():
     mh = metropolis_hastings(graph)
     w = solve_gme(GramMatrix(np.zeros((4, 4))), graph)
     np.testing.assert_array_equal(w.w, mh.w)
+
+
+@pytest.mark.parametrize("w, entry", [
+    (np.full((6, 6), 1.0 / 6.0), r"\(0, 2\)"),
+    (np.roll(np.eye(6), 3, axis=1), r"\(0, 3\)"),  # node i -> node i + 3
+], ids=["uniform", "shift3"])
+def test_solver_rejects_an_init_off_the_support(w, entry):
+    """An init with weight off the ring's edges is no feasible start. The
+    uniform matrix already cancels the centered Gram, so the solve used to
+    return it unchanged."""
+    g = np.random.default_rng(23).standard_normal((8, 6))
+    graph = build_ring(6)
+    for solve in (lambda init: solve_gme(gram(center_columns(g)), graph, init=init),
+                  lambda init: ce_gme(g, graph, SketchConfig(4, 0), init=init)):
+        with pytest.raises(ValueError, match="off the support at " + entry):
+            solve(MixingMatrix(w))
 
 
 def test_solver_drives_structured_instance_to_zero():
