@@ -22,13 +22,11 @@ from .gme import (
 )
 from .mixing import (
     MixingMatrix,
-    Violation,
     compose,
     deviation_operator_norm,
     metropolis_hastings,
     pairing_matrix,
     uniform_clique_averaging,
-    validate,
 )
 from .objectives import (
     Problem,
@@ -50,7 +48,6 @@ from .simulator import (
     run_hadsgd,
 )
 from .topology import (
-    CliquePartition,
     Topology,
     build_complete,
     build_random_connected,

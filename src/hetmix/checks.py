@@ -30,7 +30,6 @@ from .mixing import (
     metropolis_hastings,
     pairing_matrix,
     uniform_clique_averaging,
-    validate,
 )
 from .objectives import (
     _common_point_gradients,
@@ -44,7 +43,6 @@ from .objectives import (
 )
 from .simulator import RunConfig, _refreshed, _simulate, run_dsgd
 from .topology import (
-    CliquePartition,
     Topology,
     build_complete,
     build_random_connected,
@@ -262,7 +260,7 @@ def replicated_ring_exactness() -> CheckResult:
 def clique_averaging_exactness() -> CheckResult:
     """Class-balanced cliques average local gradients to the global one."""
     problem = make_replicated(6, 8, 8, period=3, seed=12)
-    w = uniform_clique_averaging(CliquePartition(((0, 1, 2), (3, 4, 5))))
+    w = uniform_clique_averaging(((0, 1, 2), (3, 4, 5)))
     rng = np.random.default_rng(404)
     worst = max(
         relative_zeta_sq_at(problem, rng.standard_normal(8), w) for _ in range(10)
@@ -534,7 +532,7 @@ def pairing_cancellation() -> CheckResult:
     graph = build_ring(16)
     pairs = pairing_matrix(16)
     problem = make_two_class_ring(10, seed=41)
-    assert validate(pairs, graph) is None
+    assert graph.off_support(pairs.w) is None
     rng = np.random.default_rng(42)
     worst_zeta = max(
         relative_zeta_sq_at(problem, rng.standard_normal(10), pairs)

@@ -15,7 +15,7 @@ import os
 from math import isfinite, sqrt
 
 from .checks import run_checks
-from .mixing import metropolis_hastings, pairing_matrix, validate
+from .mixing import metropolis_hastings, pairing_matrix
 from .objectives import (
     TWO_CLASS_NODES,
     make_random_quadratics,
@@ -194,7 +194,7 @@ def _run_repetition(cfg: dict, rep: int) -> MetricsLog:
     pairs = None
     if run_cfg.algorithm == "decoupled":
         pairs = pairing_matrix(topology.n)
-        if validate(pairs, topology) is not None:
+        if topology.off_support(pairs.w) is not None:
             raise ConfigError("decoupled pairing needs edges (2k, 2k+1) in the graph")
     return run_dsgd(problem, topology, fixed, run_cfg, w_grads=pairs)
 

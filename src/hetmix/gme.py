@@ -192,7 +192,7 @@ def project_feasible(m: np.ndarray, topology: Topology) -> MixingMatrix:
     them from a cold start (see _newton_projection). The result is
     nonnegative and exactly zero off the support, so its only error is the
     largest row-sum or column-sum residual, which is at most
-    _PROJECTION_TOL, so it passes validation at 1e-8. Raises
+    _PROJECTION_TOL, within MixingMatrix's 1e-9. Raises
     ArithmeticError, naming the residual, if _PROJECTION_MAX_ITERS Newton
     steps do not get there, or if the residual sets no new minimum in
     _STALL_ITERS consecutive steps, as where its rounding floor lies above
@@ -203,7 +203,7 @@ def project_feasible(m: np.ndarray, topology: Topology) -> MixingMatrix:
     if x.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {x.shape}")
     w, _ = _newton_projection(x, topology.support_mask(), None)
-    return MixingMatrix(w, sum_atol=1e-8)
+    return MixingMatrix(w)
 
 
 def _newton_projection(
@@ -495,11 +495,10 @@ def _certified_solve(
     g = gamma.gamma
     if g.shape[0] != topology.n or init.n != topology.n:
         raise ValueError("Gram matrix, topology, and init sizes disagree")
+    off = topology.off_support(init.w)
+    if off is not None:
+        raise ValueError(f"init has weight {init.w[off]:.3g} off the support at {off}")
     support = topology.support_mask()
-    off = np.argwhere((init.w != 0.0) & ~support)
-    if off.size:
-        i, j = off[0].tolist()
-        raise ValueError(f"init has weight {init.w[i, j]:.3g} off the support at ({i}, {j})")
     w = init.w
     gw = g @ w
     f = float((w * gw).sum())
@@ -536,7 +535,7 @@ def _certified_solve(
             if f - bound <= target:
                 break
     bound = max(bound, f - _dual_gap(2.0 * gw, w, support, ab, step))
-    return MixingMatrix(w, sum_atol=1e-8), f - bound
+    return MixingMatrix(w), f - bound
 
 
 def _dual_gap(

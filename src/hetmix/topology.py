@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Topology",
-    "CliquePartition",
     "build_ring",
     "build_torus",
     "build_complete",
@@ -61,6 +60,7 @@ class Topology:
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got n={self.n}")
         seen: set[tuple[int, int]] = set()
+        support = np.eye(self.n, dtype=bool)
         for edge in self.edges:
             i, j = edge
             if i == j:
@@ -70,38 +70,26 @@ class Topology:
             if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
+            support[i, j] = support[j, i] = True
+        support.flags.writeable = False
         object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "_support", support)
         if not _is_connected(self.n, _neighbor_sets(self.n, self.edges)):
             raise ValueError("graph is not connected")
 
     def support_mask(self) -> np.ndarray:
-        """Boolean (n, n) mask of allowed mixing-weight entries: edges plus the diagonal."""
-        mask = np.eye(self.n, dtype=bool)
-        for i, j in self.edges:
-            mask[i, j] = True
-            mask[j, i] = True
-        return mask
+        """Read-only boolean (n, n) mask of allowed mixing-weight entries:
+        edges plus the diagonal, built once at construction."""
+        return self._support
 
-
-@dataclass(frozen=True)
-class CliquePartition:
-    """Disjoint node groups covering 0..n-1, intended as complete subgraphs."""
-
-    cliques: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        cliques = tuple(tuple(sorted(int(i) for i in c)) for c in self.cliques)
-        if not cliques or any(len(c) == 0 for c in cliques):
-            raise ValueError("cliques must be nonempty")
-        members = [i for c in cliques for i in c]
-        n = len(members)
-        if sorted(members) != list(range(n)):
-            raise ValueError("cliques must partition 0..n-1 without gaps or overlap")
-        object.__setattr__(self, "cliques", cliques)
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.cliques)
+    def off_support(self, w: np.ndarray) -> tuple[int, int] | None:
+        """The first (i, j), in row-major order, where the (n, n) array w
+        has weight off the edges and diagonal; None where it has none."""
+        w = np.asarray(w)
+        if w.shape != (self.n, self.n):
+            raise ValueError(f"expected shape {(self.n, self.n)}, got {w.shape}")
+        off = np.argwhere((w != 0.0) & ~self._support)
+        return (int(off[0, 0]), int(off[0, 1])) if off.size else None
 
 
 def build_ring(n: int) -> Topology:

@@ -21,7 +21,7 @@ from hetmix.gme import (
     sketch,
     solve_gme,
 )
-from hetmix.mixing import MixingMatrix, metropolis_hastings, validate
+from hetmix.mixing import MixingMatrix, metropolis_hastings
 from hetmix.objectives import full_gradients, make_random_quadratics
 from hetmix.topology import (
     Topology,
@@ -156,7 +156,7 @@ def test_projection_feasible_and_no_closer_point(tmp_seed=14):
         graph = build_ring(n)
         m = rng.uniform(-2, 2, (n, n))
         w = project_feasible(m, graph)
-        assert validate(w.w, graph) is None
+        assert graph.off_support(w.w) is None
         # optimality: nothing feasible is closer than the projection
         mh = metropolis_hastings(graph).w
         d_proj = np.sum((m - w.w) ** 2)
@@ -212,7 +212,7 @@ def test_projection_properties(case):
     n = graph.n
     support = graph.support_mask()
     w = project_feasible(z, graph).w
-    assert validate(w, graph) is None
+    assert graph.off_support(w) is None
     residual = max(np.abs(w.sum(axis=0) - 1).max(), np.abs(w.sum(axis=1) - 1).max())
     assert residual <= gme._PROJECTION_TOL
     assert np.all(w[~support] == 0.0)
@@ -235,7 +235,7 @@ def test_projection_succeeds_or_raises_arithmetic_error(case):
     except ArithmeticError as exc:
         assert "residual" in str(exc)
         return
-    assert validate(w, graph) is None
+    assert graph.off_support(w) is None
 
 
 def test_projection_stall_raises_quickly(monkeypatch):
@@ -522,7 +522,7 @@ def test_solver_never_worse_than_init_and_feasible():
         graph = build_ring(n)
         gamma = gram(center_columns(rng.standard_normal((int(rng.integers(2, 6)), n))))
         w = solve_gme(gamma, graph)
-        assert validate(w.w, graph) is None
+        assert graph.off_support(w.w) is None
         mh_obj = gme_objective(gamma, metropolis_hastings(graph))
         assert gme_objective(gamma, w) <= mh_obj + 1e-12
 
@@ -664,7 +664,7 @@ def test_solver_is_certified_and_scales_with_gamma(case, log_c):
     w, gap = gme._certified_solve(gamma, graph, params, init)
     ws, gap_s = gme._certified_solve(scaled, graph, params, init)
     f, fs = gme_objective(gamma, w), gme_objective(scaled, ws) / c
-    assert validate(w.w, graph) is None
+    assert graph.off_support(w.w) is None
     assert f <= f0
     # rounding: the objective's is about 1e-16 tr(Gamma) per entry, and
     # rounds uniform averaging's zero to either sign
@@ -683,11 +683,11 @@ def test_ce_pipeline_determinism_and_zero_gradients():
     cfg = SketchConfig(k=8, seed=3)
     w1, w2 = ce_gme(g, graph, cfg), ce_gme(g, graph, cfg)
     np.testing.assert_array_equal(w1.w, w2.w)
-    assert validate(w1.w, graph) is None
+    assert graph.off_support(w1.w) is None
     wz = ce_gme(np.zeros((40, 6)), graph, cfg)
     np.testing.assert_array_equal(wz.w, metropolis_hastings(graph).w)
     # equal columns center to pure rounding, whose own mean the second
     # centering pass removes before the Gram matrix checks its row sums
     ring3 = build_ring(3)
     wd = ce_gme(np.tile(rng.standard_normal((40, 1)), (1, 3)), ring3, cfg)
-    assert validate(wd.w, ring3) is None
+    assert ring3.off_support(wd.w) is None

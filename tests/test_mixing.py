@@ -1,4 +1,4 @@
-"""Mixing-matrix construction, validation, and spectral quantities."""
+"""Mixing-matrix construction, the support check, and spectral quantities."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,8 @@ from hetmix.mixing import (
     metropolis_hastings,
     pairing_matrix,
     uniform_clique_averaging,
-    validate,
 )
 from hetmix.topology import (
-    CliquePartition,
     Topology,
     build_complete,
     build_random_connected,
@@ -110,20 +108,33 @@ def test_metropolis_hastings_always_valid_and_contracting():
         except ValueError:
             continue  # disconnected draw
         w = metropolis_hastings(graph)
-        assert validate(w, graph) is None
+        assert graph.off_support(w.w) is None
         assert np.allclose(w.w, w.w.T)
         # positive diagonal plus connectivity makes the chain primitive
         assert _dense_deviation(w) < 1.0
 
 
 def test_uniform_clique_averaging_blocks():
-    w = uniform_clique_averaging(CliquePartition(((0, 1), (2,))))
+    w = uniform_clique_averaging(((0, 1), (2,)))
     expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(w.w, expected, atol=1e-15)
-    # validate checks the cliques against a graph
-    assert validate(w, _path3()) is None
-    bad = validate(uniform_clique_averaging(CliquePartition(((0, 2), (1,)))), _path3())
-    assert bad.kind == "support"
+    # the graph checks the cliques against its edges
+    assert _path3().off_support(w.w) is None
+    assert _path3().off_support(uniform_clique_averaging(((0, 2), (1,))).w) == (0, 2)
+
+
+def test_uniform_clique_averaging_ignores_order():
+    w = uniform_clique_averaging(((4, 3), (2, 0, 1)))
+    assert w.n == 5
+    np.testing.assert_array_equal(w.w, uniform_clique_averaging(((0, 1, 2), (3, 4))).w)
+
+
+@pytest.mark.parametrize("cliques", [
+    (), ((0, 1), ()), ((0, 1), (1, 2)), ((0, 1), (3,)),
+], ids=["none", "empty", "overlap", "gap"])
+def test_uniform_clique_averaging_rejects_a_bad_partition(cliques):
+    with pytest.raises(ValueError, match="nonempty|partition"):
+        uniform_clique_averaging(cliques)
 
 
 def test_pairing_matrix():
@@ -145,6 +156,11 @@ def test_constructor_rejects_bad_matrices():
         MixingMatrix(np.array([[np.nan, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="outside"):
         MixingMatrix(np.array([[1.1, -0.1], [-0.1, 1.1]]))
+    # the worst offender is named: -0.7 is further outside than 1.2
+    bad = np.full((4, 4), 0.25)
+    bad[0, 0], bad[0, 2] = 1.2, -0.7
+    with pytest.raises(ValueError, match=r"-0\.7 at \(0, 2\) is outside"):
+        MixingMatrix(bad)
     with pytest.raises(ValueError, match="row 0"):
         MixingMatrix(np.array([[0.6, 0.6], [0.4, 0.4]]))
     with pytest.raises(ValueError, match="column 0"):
@@ -169,34 +185,22 @@ def test_constructor_clamps_roundoff_noise():
     assert not w.w.flags.writeable
 
 
-def test_wider_sum_tolerance_also_widens_the_clamp():
+def test_constructor_rejects_noise_beyond_the_tolerance():
+    # rows and columns sum to one exactly; the entries miss [0, 1] by 4e-9
     off = 4e-9
-    m = np.array([[1.0 + off, -off], [-off, 1.0 + off]])
-    with pytest.raises(ValueError):
-        MixingMatrix(m)
-    w = MixingMatrix(m, sum_atol=1e-8)
-    np.testing.assert_array_equal(w.w, np.eye(2))
+    with pytest.raises(ValueError, match="outside"):
+        MixingMatrix(np.array([[1.0 + off, -off], [-off, 1.0 + off]]))
 
 
-def test_validate_reports_first_violation_in_order():
+# --- the support check ------------------------------------------------
+
+def test_off_support_reports_the_first_entry_off_the_graph():
     g = build_ring(4)
-    assert validate(np.ones((3, 3)) / 3, g).kind == "shape"
-    bad = np.full((4, 4), 0.25)
-    bad[0, 0] = np.inf
-    assert validate(bad, g).kind == "finite"
-    bad = np.full((4, 4), 0.25)
-    bad[0, 0], bad[0, 2] = 1.2, -0.7
-    v = validate(bad, g)
-    # the worst offender wins: -0.7 is further outside than 1.2
-    assert v.kind == "range" and v.index == (0, 2)
-    bad = np.full((4, 4), 0.25)
-    bad[1, 1] = 0.5
-    assert validate(bad, g).kind == "row_sum"
+    with pytest.raises(ValueError, match="shape"):
+        g.off_support(np.ones((3, 3)) / 3)
     # uniform averaging uses the missing chords of the ring
-    v = validate(np.full((4, 4), 1 / 4), g)
-    assert v.kind == "support" and v.index == (0, 2)
-    assert validate(metropolis_hastings(g), g) is None
-    assert "support" in str(v)
+    assert g.off_support(np.full((4, 4), 1 / 4)) == (0, 2)
+    assert g.off_support(metropolis_hastings(g).w) is None
     # off the support the tolerance is exact zero: move 1e-7 of mass onto
     # the (0, 2) chord in a cycle that keeps all sums exact
     near = metropolis_hastings(g).w.copy()
@@ -205,7 +209,43 @@ def test_validate_reports_first_violation_in_order():
     near[0, 0] -= eps
     near[2, 0] += eps
     near[2, 2] -= eps
-    assert validate(near, g).kind == "support"
+    assert g.off_support(MixingMatrix(near).w) == (0, 2)
+
+
+def _loop_support_mask(topology):
+    """The support mask built entry by entry from the edge list."""
+    mask = np.eye(topology.n, dtype=bool)
+    for i, j in topology.edges:
+        mask[i, j] = True
+        mask[j, i] = True
+    return mask
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_graphs(), st.integers(0, 2**16))
+def test_support_mask_and_off_support(graph, seed):
+    n, mask = graph.n, graph.support_mask()
+    assert mask.dtype == bool
+    assert np.array_equal(mask, _loop_support_mask(graph))
+    assert graph.support_mask() is mask
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = False
+    rng = np.random.default_rng(seed)
+    assert graph.off_support(metropolis_hastings(graph).w) is None
+    assert graph.off_support(project_feasible(rng.uniform(-1, 1, (n, n)), graph).w) is None
+    chords = np.argwhere(~mask)
+    if not chords.size:
+        return  # complete graph
+    # move eps of mass around the 4-cycle (i, i) -> (i, j) -> (j, j) ->
+    # (j, i) through the non-edge (i, j); every sum stays exact
+    i, j = chords[rng.integers(len(chords))]
+    near = metropolis_hastings(graph).w.copy()
+    eps = 1e-7
+    near[i, j] += eps
+    near[i, i] -= eps
+    near[j, i] += eps
+    near[j, j] -= eps
+    assert graph.off_support(near) == (min(i, j), max(i, j))
 
 
 # --- spectral quantities ----------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hetmix.topology import (
-    CliquePartition,
     Topology,
     build_complete,
     build_random_connected,
@@ -150,23 +149,6 @@ def test_support_mask():
     assert np.array_equal(mask, mask.T)
     assert mask.diagonal().all()
     assert mask[0, 1] and not mask[0, 2]
-
-
-# --- cliques -----------------------------------------------------------
-
-def test_clique_partition_normalizes():
-    p = CliquePartition(((2, 0, 1), (4, 3)))
-    assert p.cliques == ((0, 1, 2), (3, 4))
-    assert p.n == 5
-
-
-def test_clique_partition_rejects_overlap_and_gaps():
-    with pytest.raises(ValueError):
-        CliquePartition(((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        CliquePartition(((0, 1), (3,)))
-    with pytest.raises(ValueError):
-        CliquePartition(())
 
 
 # --- file format -------------------------------------------------------
