@@ -5,29 +5,23 @@ matrix G is ||G W - Gbar||_F^2 with Gbar the column-mean matrix, which
 equals Tr[W^T Gamma W] for the Gram matrix Gamma of the centered
 gradients. Minimizing that quadratic over the doubly stochastic matrices
 supported on the communication graph is a convex QP; it is solved here by
-accelerated projected gradient with function restart, optionally on
+a primal-dual interior-point method on the support entries, optionally on
 sketched gradients so nodes only exchange k-dimensional summaries. The
-solve stops on a certificate: the multipliers of a projection, corrected
+objective is a sum over W's columns, so a Newton step inverts one small
+block per column and one 2n-by-2n system in the row and column
+multipliers. The solve stops on a certificate: its multipliers, corrected
 into a feasible dual of the assignment LP, bound the optimum from below,
-and the solve ends once its objective is within tol * f(init) of the best
-such bound. Each projection is exact up to a stated
-row-sum and column-sum residual: Newton's method on the dual in the 2n row
-and column multipliers finds it, warm-started within a solve from the
-last projection's multipliers. Successive projections of a solve mostly share their
-active set (the support entries where W > 0), on which the multipliers,
-and so the projection, are affine in the input's entries on that set. The
-solver caches that map to the 2n multipliers for one active set, and
-accepts the W its multipliers give by the residual test Newton's method
-stops on. When the active set changes, that W's active set is the one
-the map predicts, and rank-one updates move the map there; Newton runs,
-and the map is built afresh, only where such a move declines or its
-output still fails the test.
+and the solve ends once its objective is within tol * f(init) of that
+bound. The Euclidean projection onto the polytope, exact up to a stated
+row-sum and column-sum residual, comes from Newton's method on its dual
+in the 2n row and column multipliers; the solver projects its last
+iterate with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log, sqrt
+from math import ceil, log
 
 import numpy as np
 
@@ -42,14 +36,11 @@ _STALL_ITERS = 50
 # largest row-sum or column-sum residual of a projection, its only error
 _PROJECTION_TOL = 1e-10
 _PROJECTION_MAX_ITERS = 5000  # Newton iterations of one projection
-_GAP_EVERY = 10  # solver iterations between two certificates
-# caps of the face's rank-one moves (see _Face.move): entries changed per
-# move, and moves per projection before Newton's method takes over
-_MOVE_ENTRIES = 4
-_MOVE_STEPS = 3
-# 1 - v^T P^+ v below which an entry to remove counts as a bridge: 0 up to
-# rounding on a bridge, at least 1 / (2n) on any other entry
-_BRIDGE_TOL = 1e-8
+# primal regularization of the solver's column blocks, against Gamma scaled
+# to a largest eigenvalue of 1: keeps a block invertible where rank Gamma is
+# below the block's size and Z/X goes to 0 on its entries
+_REGULARIZATION = 1e-6
+_STEP_FRACTION = 0.99  # share of the step to the boundary an iteration takes
 
 __all__ = [
     "GramMatrix",
@@ -83,10 +74,13 @@ class GmeSolverParams:
     """Iteration cap and certified stopping tolerance of solve_gme.
 
     A solve stops once its objective is provably within tol * f(init) of
-    the optimum (see solve_gme), or after max_iters iterations. At the
-    default 1e-5 the tail metrics of the reference adaptive run sit within
-    6.3e-7 of a solve run to 1e-8; at 1e-4 they move 5.0e-6, and the
-    Frank-Wolfe gap can exceed 1e-4 of f(W).
+    the optimum (see solve_gme), or after max_iters iterations. The 150
+    refresh solves of the reference adaptive run take 7 to 8 Newton steps
+    at the default 1e-5, and at most 11 at 1e-8. Their Gamma has rank 10,
+    below n - 1 = 15, so the minimizer is not unique and the run's tail
+    metrics move with tol: from a run at 1e-8, by 2.9e-5 at 1e-6, 8.7e-5
+    at 1e-5 and 1.9e-4 at 1e-4, where the Frank-Wolfe gap reaches 2.3e-4
+    of f(W).
     """
 
     max_iters: int = 2000
@@ -299,142 +293,6 @@ def _hessian(active: np.ndarray) -> np.ndarray:
     return h
 
 
-def _components(active: np.ndarray) -> np.ndarray:
-    """Component label of each of the 2n vertices of A's bipartite graph,
-    rows then columns: the smallest row index in the vertex's component.
-
-    Two rows share a component when a path of active entries joins them,
-    which the boolean closure of A A^T, squared until it stops changing,
-    records; a column takes the label of one of its active rows. Every row
-    and column of a projection has an active entry, as it sums to one.
-    """
-    a = active.astype(float)
-    reach = a @ a.T > 0.0
-    while True:
-        r = reach.astype(float)
-        closed = r @ r > 0.0
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    rows = reach.argmax(axis=1)
-    return np.concatenate([rows, rows[active.argmax(axis=0)]])
-
-
-def _pseudo_inverse(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """P^+ for P = _hessian(A), given the component labels of A's graph
-    (see _components).
-
-    P's null space is spanned by N, whose columns are s = (1_n, -1_n) on
-    the vertices of one component each and 0 elsewhere. So N N^T is
-    s_i s_j where i and j share a label and 0 elsewhere, N^T N is diagonal
-    in the components' vertex counts m, P + N N^T is invertible, and
-    P^+ = (P + N N^T)^-1 - N (N^T N)^-2 N^T.
-    """
-    n = p.shape[0] // 2
-    s = np.repeat([1.0, -1.0], n)
-    nnt = np.where(labels[:, None] == labels[None, :], np.outer(s, s), 0.0)
-    m = np.bincount(labels)[labels]
-    return np.linalg.inv(p + nnt) - nnt / np.outer(m, m)
-
-
-class _Face:
-    """The projection on one active set A, where it is affine in Z.
-
-    With A fixed, the unit row and column sums give P ab = E_A^T Z_A - 1
-    (see _hessian), so the multipliers are ab = K^T Z_A + c, with
-    K = E_A P^+ (|A| by 2n; row k sums the rows i_k and n + j_k of P^+),
-    c = -P^+ 1 plus a null-space part, and P^+ the pseudo-inverse, which
-    _pseudo_inverse builds from one inverse of P + N N^T for N a basis of
-    P's null space (a ridge in its place leaks about 1e-6 through it). The
-    null space, one (1, -1) direction per component of the active graph,
-    leaves W unchanged but moves alpha + beta between components, and so
-    moves Z - alpha - beta off A. So c keeps the null-space part of the
-    multipliers ab that Newton's method found for A: the minimum-norm
-    multipliers may fail the check where Newton's pass, and on a complete
-    graph of 3 nodes whose projection is the identity, the face then
-    rejected the very input it was built from.
-
-    The face only predicts multipliers; project accepts the W they give
-    by Newton's own residual test. A face whose active graph is one
-    component can move to a nearby active set (see move and project) by
-    rank-one updates of P^+, in place of a Newton projection and a fresh
-    build.
-    """
-
-    def __init__(self, active: np.ndarray, support: np.ndarray, ab: np.ndarray) -> None:
-        n = support.shape[0]
-        self.n = n
-        self.support = support
-        p = _hessian(active)
-        labels = _components(active)
-        self.connected = not labels.any()  # every vertex shares row 0's label
-        self.p_plus = _pseudo_inverse(p, labels)
-        self.null = ab - p @ (self.p_plus @ ab)
-        self._gather(active)
-
-    def _gather(self, active: np.ndarray) -> None:
-        """K, c and the flat indices of active set A from P^+ and the
-        null-space part of c."""
-        self.mask = active
-        self.active = np.flatnonzero(active)
-        rows, cols = np.divmod(self.active, self.n)
-        self.k = self.p_plus[rows] + self.p_plus[self.n + cols]
-        self.c = -self.p_plus.sum(axis=1) + self.null
-
-    def project(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The projection of z and its multipliers, or None.
-
-        The face's multipliers ab for z give W = max(Z - alpha - beta, 0)
-        on the support (see _primal), which is the projection wherever its
-        row and column sums are within _PROJECTION_TOL of one: Newton's
-        own stopping test. Where they are not, ab is the exact semismooth
-        Newton step on the projection's dual from A, so W's active set is
-        the one that step predicts; the face moves there and tries again,
-        up to _MOVE_STEPS times. None where it still fails or a move
-        declines.
-        """
-        for moves in range(_MOVE_STEPS + 1):
-            ab = z.take(self.active) @ self.k + self.c
-            _, w, active, res = _primal(z, self.support, ab)
-            if np.abs(res).max() <= _PROJECTION_TOL:
-                return w, ab
-            if moves == _MOVE_STEPS or not self.move(active):
-                return None
-
-    def move(self, active: np.ndarray) -> bool:
-        """Make this the face of active set A1 by rank-one updates of P^+;
-        False, with the face unchanged, where they do not apply.
-
-        Each entry (i, j) that enters or leaves A adds or removes v v^T in
-        P, for v = e_i + e_{n+j}. While A's graph is one component, v lies
-        in P's range, so P^+ -+ (P^+ v)(P^+ v)^T / (1 +- v^T P^+ v) is the
-        new pseudo-inverse (Sherman-Morrison), and the null space, with
-        the null-space part of c, is unchanged. Entries enter first, as
-        they never split the graph. Removing an entry leaves it one
-        component unless the entry is a bridge, where 1 - v^T P^+ v is 0;
-        on any other entry it is at least 1 / (2n), one over the length
-        of a cycle through it. The move declines where A's graph has several
-        components, where more than _MOVE_ENTRIES entries change, none
-        does, or an entry to remove is a bridge.
-        """
-        n = self.n
-        entered = np.flatnonzero(active & ~self.mask)
-        left = np.flatnonzero(self.mask & ~active)
-        if not (self.connected and 0 < entered.size + left.size <= _MOVE_ENTRIES):
-            return False
-        p_plus = self.p_plus.copy()
-        for sign, entries in ((-1.0, entered), (1.0, left)):
-            for i, j in zip(*np.divmod(entries, n)):
-                pv = p_plus[i] + p_plus[n + j]
-                denom = 1.0 - sign * (pv[i] + pv[n + j])
-                if not denom > _BRIDGE_TOL:
-                    return False
-                p_plus += np.outer(pv, pv) * (sign / denom)
-        self.p_plus = p_plus
-        self._gather(active)
-        return True
-
-
 def gme_objective(gamma: GramMatrix, w: MixingMatrix) -> float:
     """Tr[W^T Gamma W], the gradient mixing error in Gram form."""
     return float(np.sum(w.w * (gamma.gamma @ w.w)))
@@ -448,34 +306,28 @@ def solve_gme(
 ) -> MixingMatrix:
     """Minimize Tr[W^T Gamma W] over the feasible polytope.
 
-    Accelerated projected gradient (FISTA, Beck & Teboulle 2009) from
-    init (Metropolis-Hastings when absent), with step 1/L for
-    L = 2 ||Gamma||_2 the gradient's Lipschitz constant. An iterate is
-    accepted only if it does not raise the objective, so the result is at
-    least as good as the start. A step that would raise it restarts the
-    momentum (function restart, O'Donoghue & Candes 2015); a step without
-    momentum that would raise it, which only rounding can cause, stops
-    the solve. Every _GAP_EVERY iterations the projection's multipliers
-    give a lower bound on the optimum (see _dual_gap), and the solve stops
-    once the objective is within params.tol * f(init) of the best such
-    bound, or at params.max_iters.
+    A primal-dual interior-point method on the support entries, with
+    Mehrotra's predictor-corrector (Mehrotra 1992), on Gamma scaled to a
+    largest eigenvalue of 1. It starts halfway between init
+    (Metropolis-Hastings when absent) and Metropolis-Hastings, which is
+    strictly positive on the support, with unit duals on the entries and
+    zero multipliers on the sums. The objective is separable by column, so
+    the Newton system is block diagonal: column j's block is
+    2 Gamma[S_j, S_j] + Z/X on its support rows S_j, plus a small primal
+    regularization (Altman & Gondzio 1999) that keeps the block invertible
+    where rank Gamma is below its size. One batched inverse of the blocks
+    and one inverse of the 2n-by-2n Schur complement in the row and column
+    multipliers serve both the predictor and the corrector.
 
-    Each projection first tries the affine map from Z to the multipliers
-    of the cached active set A (see _Face), which costs one
-    matrix-vector product of size |A| by 2n. The W = max(Z - alpha -
-    beta, 0) of its multipliers is accepted by the test Newton's method
-    stops on: row and column sums within _PROJECTION_TOL of one, which
-    with W's sign makes it the projection. Otherwise the map moves to
-    W's active set, by one rank-one update of P^+ per changed entry, and
-    tries again, up to _MOVE_STEPS times (see _Face.project). Where a
-    move declines (A's graph has several components, more than
-    _MOVE_ENTRIES entries change, or an entry to remove is a bridge) or
-    the last try fails, Newton's method projects, warm-started from the
-    last projection's multipliers, and the map is built afresh for its
-    active set. The step takes Gamma's largest
-    eigenvalue from GramMatrix. A zero Gamma or f(init) returns the init
-    unchanged. Raises ValueError, naming the entry, if init has weight
-    off the topology's support.
+    Once the primal sums are within _PROJECTION_TOL and X^T Z within
+    params.tol * f(init), a Newton projection (see project_feasible) of the
+    iterate gives the result W, and the multipliers give a lower bound on
+    the optimum (see _dual_gap), floored at 0 as Gamma is PSD. The solve
+    stops once f(W) is within params.tol * f(init) of that bound, or after
+    params.max_iters iterations. The result is never worse than init: a W
+    above f(init) returns init. A zero Gamma or f(init) returns the init
+    unchanged. Raises ValueError, naming the entry, if init has weight off
+    the topology's support.
     """
     return _certified_solve(gamma, topology, params, init)[0]
 
@@ -490,71 +342,117 @@ def _certified_solve(
     lower bound on the optimum found, 0.0 where Gamma or f(init) is 0."""
     if params is None:
         params = GmeSolverParams()
+    mh = metropolis_hastings(topology)
     if init is None:
-        init = metropolis_hastings(topology)
+        init = mh
     g = gamma.gamma
     if g.shape[0] != topology.n or init.n != topology.n:
         raise ValueError("Gram matrix, topology, and init sizes disagree")
     off = topology.off_support(init.w)
     if off is not None:
         raise ValueError(f"init has weight {init.w[off]:.3g} off the support at {off}")
-    support = topology.support_mask()
-    w = init.w
-    gw = g @ w
-    f = float((w * gw).sum())
-    if gamma.lam_max <= 0.0 or f <= 0.0:  # f < 0 is a rounded 0
+    f_init = float((init.w * (g @ init.w)).sum())
+    if gamma.lam_max <= 0.0 or f_init <= 0.0:  # f < 0 is a rounded 0
         return init, 0.0
-    step = 0.5 / gamma.lam_max
-    target = params.tol * f
-    # y is the extrapolated point and gy = Gamma y; beta is the momentum
-    # weight that made y from the last two iterates
-    y, gy, t, beta = w, gw, 1.0, 0.0
-    ab, face, bound = None, None, -np.inf
-    for it in range(1, params.max_iters + 1):
-        z = y - step * 2.0 * gy
-        hit = None if face is None else face.project(z)
-        if hit is None:
-            w_new, ab = _newton_projection(z, support, ab)
-            face = _Face(w_new > 0.0, support, ab)
-        else:
-            w_new, ab = hit
-        gw_new = g @ w_new
-        f_new = float((w_new * gw_new).sum())
-        if f_new > f:
-            if beta == 0.0:
-                break
-            y, gy, t, beta = w, gw, 1.0, 0.0
-            continue
-        t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y = w_new + beta * (w_new - w)
-        gy = gw_new + beta * (gw_new - gw)
-        w, gw, f, t = w_new, gw_new, f_new, t_next
-        if it % _GAP_EVERY == 0:
-            bound = max(bound, f - _dual_gap(2.0 * gw, w, support, ab, step))
+    n, support = topology.n, topology.support_mask()
+    # f's rounding error, about n^2 eps lam_max, floors the target
+    target = max(params.tol * f_init, n * n * np.finfo(float).eps * gamma.lam_max)
+    # column j's support rows are rows[j, :p_j], padded to the largest p
+    counts = support.sum(axis=0)
+    p = int(counts.max())
+    mask = np.arange(p) < counts[:, None]
+    rows = np.zeros((n, p), dtype=np.intp)
+    rows[mask] = np.nonzero(support.T)[1]
+    cols, slots = np.nonzero(mask)
+    # e[j, k] is A's column for entry (rows[j, k], j): A maps the entries to
+    # their row sums, then their column sums; e is 0 on the padding
+    e = np.zeros((n, p, 2 * n))
+    e[cols, slots, rows[cols, slots]] = 1.0
+    e[cols, slots, n + cols] = 1.0
+    a_t = e.reshape(n * p, 2 * n)
+    pair = mask[:, :, None] & mask[:, None, :]
+    q = np.where(pair, 2.0 / gamma.lam_max * g[rows[:, :, None], rows[:, None, :]], 0.0)
+    diag = (slice(None), np.arange(p), np.arange(p))
+    pad = (~mask).astype(float)
+    shift = _REGULARIZATION + pad  # the identity on the padding
+    s = np.repeat([1.0, -1.0], n)
+    null = np.outer(s, s)  # A^T s = 0, so s spans the Schur complement's null space
+    x = np.where(mask, 0.5 * (init.w + mh.w)[rows, np.arange(n)[:, None]], 1.0)
+    z, y = mask.astype(float), np.zeros(2 * n)
+
+    def certify():
+        """The projected iterate, its objective and the lower bound that
+        the multipliers certify, in [0, f]."""
+        w = np.zeros((n, n))
+        w[rows[cols, slots], cols] = x[cols, slots]
+        w = MixingMatrix(_newton_projection(w, support, None)[0])
+        gw = g @ w.w
+        f = float((w.w * gw).sum())
+        gap = _dual_gap(2.0 * gw, w.w, support, gamma.lam_max * y)
+        return w, f, min(max(f - gap, 0.0), f)
+
+    for _ in range(params.max_iters):
+        r_p = x.ravel() @ a_t - 1.0
+        r_d = (q @ x[:, :, None])[:, :, 0] - (a_t @ y).reshape(n, p) - z
+        xz = float((x * z).sum())
+        if xz * gamma.lam_max <= target and np.abs(r_p).max() <= _PROJECTION_TOL:
+            w, f, bound = certify()
             if f - bound <= target:
                 break
-    bound = max(bound, f - _dual_gap(2.0 * gw, w, support, ab, step))
-    return MixingMatrix(w), f - bound
+        h = q.copy()
+        h[diag] += z / x + shift
+        h_inv = np.linalg.inv(h)
+        h_inv_a = h_inv @ e
+        s_inv = np.linalg.inv(a_t.T @ h_inv_a.reshape(n * p, 2 * n) + null)
+
+        def newton(r_c):
+            """(dx, dy, dz) for complementarity residual r_c. A second pass,
+            iterative refinement, takes the sums' equation A dx = -r_p to
+            rounding: the regularization bounds the Schur complement's
+            condition only by about n / _REGULARIZATION."""
+            dx, dy = (h_inv @ (r_c / x - r_d)[:, :, None])[:, :, 0], 0.0
+            for _ in range(2):
+                d = s_inv @ -(r_p + dx.ravel() @ a_t)
+                dx, dy = dx + h_inv_a @ d, dy + d
+            return dx, dy, (r_c - z * dx) / x
+
+        dx, _, dz = newton(-x * z)
+        step = _boundary_step(x, dx, z + pad, dz)
+        sigma = (float(((x + step * dx) * (z + step * dz)).sum()) / xz) ** 3
+        dx, dy, dz = newton(sigma * xz / cols.size * mask - x * z - dx * dz)
+        step = min(1.0, _STEP_FRACTION * _boundary_step(x, dx, z + pad, dz))
+        x, y, z = x + step * dx, y + step * dy, z + step * dz
+    else:
+        w, f, bound = certify()
+    if f > f_init:  # then any bound above f(init) is rounding
+        return init, max(f_init - bound, 0.0)
+    return w, f - bound
 
 
-def _dual_gap(
-    grad: np.ndarray, w: np.ndarray, support: np.ndarray, ab: np.ndarray, step: float
-) -> float:
+def _boundary_step(x: np.ndarray, dx: np.ndarray, z: np.ndarray, dz: np.ndarray) -> float:
+    """The largest step up to 1 that keeps x + step dx and z + step dz
+    nonnegative, for x > 0 and z > 0."""
+    ratio = min(float((dx / x).min()), float((dz / z).min()))
+    return 1.0 if ratio >= -1.0 else -1.0 / ratio
+
+
+def _dual_gap(grad: np.ndarray, w: np.ndarray, support: np.ndarray, uv: np.ndarray) -> float:
     """<grad, W> minus a lower bound on <grad, V> over every feasible V.
 
-    For potentials u, v with grad_ij >= u_i + v_j on the support, every
-    feasible V has <grad, V> >= sum(u) + sum(v), so with grad the
+    For potentials uv = (u, v) with grad_ij >= u_i + v_j on the support,
+    every feasible V has <grad, V> >= sum(u) + sum(v), so with grad the
     gradient at W the optimum is at least f(W) minus the returned gap
     (the bound of the assignment LP's dual, and so at least the
-    Frank-Wolfe gap, Jaggi 2013). The projection W = max(Z - alpha -
-    beta, 0) of Z = Y - step grad(Y) makes u = -alpha / step and
-    v = -beta / step satisfy it where W = Y; elsewhere adding to u the row
-    minima of the reduced cost grad - u - v over the support, then to v
-    the column minima of the new reduced cost, restores it.
+    Frank-Wolfe gap, Jaggi 2013). The solver's multipliers of the sums
+    satisfy it where the entries' duals are nonnegative and its dual
+    residual is 0; so do -(alpha, beta) / step, for the projection
+    W = max(Z - alpha - beta, 0) of Z = Y - step grad(Y), where W = Y.
+    Elsewhere adding to u the row minima of the reduced cost grad - u - v
+    over the support, then to v the column minima of the new reduced
+    cost, restores it.
     """
     n = w.shape[0]
-    u, v = -ab[:n] / step, -ab[n:] / step
+    u, v = uv[:n], uv[n:]
     reduced = np.where(support, grad - u[:, None] - v[None, :], np.inf)
     rows = reduced.min(axis=1)
     cols = (reduced - rows[:, None]).min(axis=0)

@@ -258,7 +258,7 @@ def test_run_adaptive_on_ring_of_32(tmp_path, capsys):
 
 def test_run_matches_golden_adaptive_csv(tmp_path):
     """The reference adaptive config at 1 rep and 400 steps, against the CSV
-    the accelerated solver wrote with its certified stop at the default
+    the interior-point solver wrote with its certified stop at the default
     tol; solver changes must stay within rtol 1e-6 of it."""
     text = _reference_adaptive(tmp_path / "g", steps=400, reps=1)
     assert cmd_run(_write(tmp_path, text)) == 0

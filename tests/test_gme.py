@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components
 
 from hetmix import gme
 from hetmix.gme import (
@@ -261,226 +260,6 @@ def test_projection_stall_raises_quickly(monkeypatch):
     assert calls <= 200
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_projection_inputs(max_log_scale=1.0))
-def test_face_reproduces_projection_and_rejects_a_changed_active_set(case):
-    z, graph, scale = case
-    n = graph.n
-    support = graph.support_mask()
-    w, ab = gme._newton_projection(z, support, None)  # as project_feasible
-    # where an entry of Z - alpha - beta is 0 within the projection's
-    # error, rounding may put the face's value on the wrong side of 0, and
-    # then it rightly declines; such ties are common off A when the active
-    # graph has several components, as the multipliers are then not unique
-    t = z - ab[:n, None] - ab[None, n:]
-    assume(np.abs(t[support]).min() > 1e-9 * (1.0 + scale))
-    face = gme._Face(w > 0.0, support, ab)
-    hit = face.project(z)
-    assert hit is not None
-    got, got_ab = hit
-    np.testing.assert_allclose(got, w, rtol=0, atol=1e-9 * (1.0 + scale))
-    np.testing.assert_allclose(got_ab, ab, rtol=0, atol=1e-9 * (1.0 + scale))
-    # lowering Z at active entry k = (i, j) by s lowers the face's
-    # Z - alpha - beta there by s (1 - K[k, i] - K[k, n + j]), which is 0
-    # where A's graph is a forest
-    rows, cols = np.divmod(face.active, n)
-    entry = np.arange(face.active.size)
-    slack = 1.0 - (face.k[entry, rows] + face.k[entry, n + cols])
-    k = int(np.argmax(slack))
-    assume(slack[k] > 1e-3)
-    moved = z.copy()
-    moved.flat[face.active[k]] -= (got.flat[face.active[k]] + 1.0) / slack[k]
-    # W then loses entry k, so its row i sums to at least 2
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gme, "_MOVE_STEPS", 0)
-        assert face.project(moved) is None
-
-
-@st.composite
-def _active_sets(draw):
-    """Active sets of projections: that of a projection of a drawn input
-    (see _projection_inputs), or a permutation plus up to n drawn
-    entries, mostly a forest of several components."""
-    if draw(st.booleans()):
-        z, graph, _ = draw(_projection_inputs(max_log_scale=1.0))
-        return project_feasible(z, graph).w > 0.0
-    n = draw(st.integers(2, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    active = np.zeros((n, n), dtype=bool)
-    active[np.arange(n), rng.permutation(n)] = True
-    extra = rng.integers(0, n, (draw(st.integers(0, n)), 2))
-    active[extra[:, 0], extra[:, 1]] = True
-    return active
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_active_sets())
-@example(np.eye(3, dtype=bool))  # the identity on a complete graph of 3
-@example(np.eye(2, dtype=bool))
-@example(np.ones((2, 2), dtype=bool))
-def test_face_pseudo_inverse_matches_pinv(active):
-    """The face's components are those of the active graph, and its P^+
-    from one inverse is numpy's pseudo-inverse."""
-    p = gme._hessian(active)
-    labels = gme._components(active)
-    count, theirs = connected_components(p, directed=False)
-    pairs = set(zip(labels.tolist(), theirs.tolist()))
-    assert len(pairs) == len(set(labels.tolist())) == count
-    # P's null-space eigenvalues come out of rounding near 1e-15 of its
-    # largest, where numpy's default cutoff may invert them; its smallest
-    # nonzero one is above 1e-5 of the largest at these sizes
-    ref = np.linalg.pinv(p, 1e-10, hermitian=True)
-    got = gme._pseudo_inverse(p, labels)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@st.composite
-def _active_set_pairs(draw):
-    """(A, A1, support, ab): the active set A and multipliers ab of the
-    projection of a Gaussian input of scale 0.01 to 1 on a ring, star,
-    torus or random connected graph, and A1, A with 1 to 4 drawn support
-    entries toggled. Small inputs keep most of the support active, so A's
-    graph is often one component."""
-    kind = draw(st.sampled_from(["ring", "star", "torus", "random"]))
-    if kind == "torus":
-        graph = build_torus(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
-    else:
-        graph = _draw_graph(draw, kind, draw(st.integers(3, 24)))
-    n, support = graph.n, graph.support_mask()
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    z = 10.0 ** draw(st.floats(-2.0, 0.0)) * rng.standard_normal((n, n))
-    w, ab = gme._newton_projection(z, support, None)
-    toggled = rng.choice(np.flatnonzero(support), draw(st.integers(1, 4)), replace=False)
-    moved = w > 0.0
-    moved.flat[toggled] ^= True
-    return w > 0.0, moved, support, ab
-
-
-def _one_component(active):
-    return connected_components(gme._hessian(active), directed=False)[0] == 1
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_active_set_pairs())
-def test_face_move_matches_a_fresh_build(case):
-    """A face moves exactly where both active graphs are one component,
-    and its P^+, K and c then match a fresh build for A1 from the same
-    multipliers; elsewhere it declines and is left as it was."""
-    active, moved, support, ab = case
-    face = gme._Face(active, support, ab)
-    before = face.p_plus.copy()
-    ok = face.move(moved)
-    assert ok == (_one_component(active) and _one_component(moved))
-    if not ok:
-        assert face.mask is active
-        np.testing.assert_array_equal(face.p_plus, before)
-        return
-    fresh = gme._Face(moved, support, ab)
-    np.testing.assert_array_equal(face.active, fresh.active)
-    for got, ref in ((face.p_plus, fresh.p_plus), (face.k, fresh.k), (face.c, fresh.c)):
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_face_move_declines_a_bridge_several_components_and_large_changes():
-    """On a ring of 6, rows i -> columns i and i + 1 form one cycle through
-    all 12 vertices: removing one entry leaves a path, every entry of which
-    is a bridge."""
-    n = 6
-    support = build_ring(n).support_mask()
-    cycle = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
-    face = gme._Face(cycle, support, np.zeros(2 * n))
-    path = cycle.copy()
-    path[0, 1] = False
-    assert face.move(path)
-    split = path.copy()
-    split[3, 4] = False
-    assert not face.move(split)
-    assert face.mask is path
-    assert not face.move(support)  # 6 entries enter, more than _MOVE_ENTRIES
-    identity = gme._Face(np.eye(n, dtype=bool), support, np.zeros(2 * n))
-    joined = np.eye(n, dtype=bool)
-    joined[0, 1] = True
-    assert not identity.move(joined)  # 6 components, then 5
-
-
-@st.composite
-def _solve_inputs(draw):
-    """(G, graph): 10-by-n Gaussian gradients of a drawn scale on a ring,
-    complete, star, random connected or torus graph of 3 to 32 nodes."""
-    kind = draw(st.sampled_from(["ring", "complete", "star", "random", "torus"]))
-    if kind == "torus":
-        rows = draw(st.integers(3, 10))
-        graph = build_torus(rows, draw(st.integers(3, 32 // rows)))
-    else:
-        graph = _draw_graph(draw, kind, draw(st.integers(3, 32)))
-    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    return scale * rng.standard_normal((10, graph.n)), graph
-
-
-def test_solve_with_the_face_matches_newton_alone():
-    """Every face output a solve accepts is Newton's projection of the same
-    input, so the face changes nothing a solve computes, and some of those
-    outputs come from faces that moved (see _Face.move). Newton runs to a
-    residual of 1e-13 here: at _PROJECTION_TOL the two differ by up to
-    3e-11, as either may stop anywhere below it."""
-    from_moved = []
-    project, move = gme._Face.project, gme._Face.move
-
-    def moving(self, active):
-        ok = move(self, active)
-        self.moved = getattr(self, "moved", False) or ok
-        return ok
-
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(_solve_inputs())
-    def check(case):
-        g, graph = case
-        support = graph.support_mask()
-        accepted = []
-
-        def recording(self, z):
-            hit = project(self, z)
-            if hit is not None:
-                accepted.append((z, hit[0]))
-                from_moved.append(getattr(self, "moved", False))
-            return hit
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gme._Face, "project", recording)
-            mp.setattr(gme._Face, "move", moving)
-            ce_gme(g, graph, SketchConfig(k=16, seed=0), GmeSolverParams(max_iters=300))
-            mp.setattr(gme, "_PROJECTION_TOL", 1e-13)
-            for z, w in accepted:
-                newton, _ = gme._newton_projection(z, support, None)
-                np.testing.assert_allclose(w, newton, rtol=0, atol=1e-12)
-
-    check()
-    assert any(from_moved)
-
-
-def test_moved_faces_save_newton_projections(monkeypatch):
-    """On three random graphs of 16 nodes, a face that moves to the next
-    active set replaces the Newton projection and the fresh build a miss
-    would cost. The three solves make 5 Newton projections, against 73
-    with a Newton projection on every miss; the bound leaves room for
-    rounding to move the count."""
-    calls = 0
-    newton = gme._newton_projection
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return newton(*args)
-
-    monkeypatch.setattr(gme, "_newton_projection", counting)
-    for s in range(3):
-        problem = make_random_quadratics(16, 10, seed=s)
-        g = full_gradients(problem, np.random.default_rng(s).standard_normal((10, 16)))
-        ce_gme(g, build_random_connected(16, 0.5, s), SketchConfig(k=16, seed=s))
-    assert calls <= 15
-
-
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         GmeSolverParams(max_iters=0)
@@ -539,27 +318,6 @@ def test_solver_objective_scales_linearly(factor):
     o1 = gme_objective(g1, solve_gme(g1, graph))
     o_scaled = gme_objective(gs, solve_gme(gs, graph))
     assert o_scaled == pytest.approx(factor * o1, rel=1e-6, abs=1e-12 * factor)
-
-
-def test_solver_stops_at_the_first_increase(monkeypatch):
-    """A projection that only ever raises the objective stops the solve
-    after one projection, at the init."""
-    rng = np.random.default_rng(22)
-    graph = build_ring(5)
-    gamma = gram(center_columns(rng.standard_normal((4, 5))))
-    init = metropolis_hastings(graph)
-    worse = np.eye(5)
-    assert gme_objective(gamma, MixingMatrix(worse)) > gme_objective(gamma, init)
-    calls = []
-
-    def raising(z, support, ab):
-        calls.append(ab)
-        return worse, np.zeros(10)
-
-    monkeypatch.setattr(gme, "_newton_projection", raising)
-    w = solve_gme(gamma, graph, init=init)
-    assert len(calls) == 1
-    assert gme_objective(gamma, w) <= gme_objective(gamma, init)
 
 
 def test_solver_handles_degenerate_grams():
@@ -637,7 +395,7 @@ def test_dual_gap_bounds_the_frank_wolfe_gap(case, log_c):
         z = w - step * 2.0 * gamma.gamma @ w
         w, ab = gme._newton_projection(z, support, None)
         grad = 2.0 * gamma.gamma @ w
-        gap = gme._dual_gap(grad, w, support, ab, step)
+        gap = gme._dual_gap(grad, w, support, -ab / step)
         rows, cols = linear_sum_assignment(np.where(support, grad, np.inf))
         frank_wolfe = float((grad * w).sum() - grad[rows, cols].sum())
         # W's sums are off by up to _PROJECTION_TOL, and the potentials
@@ -674,6 +432,99 @@ def test_solver_is_certified_and_scales_with_gamma(case, log_c):
     assert f - gap <= fs + slack
     assert fs - gap_s / c <= f + slack
     assert fs == pytest.approx(f, rel=0, abs=params.tol * f0 + slack)
+
+
+@st.composite
+def _solver_cases(draw):
+    """(Gamma, graph, init) on a ring, star, complete, torus or random
+    connected graph of 2 to 24 nodes (rings from 3). Gamma is the Gram
+    matrix of 16 gradient rows of rank 1 to 12, so often below the size of
+    a column's support, with drawn columns zeroed or set to column 0, or
+    all of them zero, at a scale of 1e-8 to 1e8. init is
+    Metropolis-Hastings, the identity or a random feasible matrix."""
+    kind = draw(st.sampled_from(["ring", "star", "complete", "torus", "random"]))
+    if kind == "torus":
+        graph = build_torus(draw(st.integers(3, 4)), draw(st.integers(3, 6)))
+    else:
+        graph = _draw_graph(draw, kind, draw(st.integers(3 if kind == "ring" else 2, 24)))
+    n = graph.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rank = draw(st.integers(1, 12))
+    g = rng.standard_normal((16, rank)) @ rng.standard_normal((rank, n))
+    columns = rng.integers(0, n, draw(st.integers(0, n)))
+    edit = draw(st.sampled_from(["none", "zero", "duplicate", "all zero"]))
+    if edit == "zero":
+        g[:, columns] = 0.0
+    elif edit == "duplicate":
+        g[:, columns] = g[:, :1]
+    elif edit == "all zero":
+        g[:] = 0.0
+    g *= 10.0 ** draw(st.floats(-8.0, 8.0))
+    start = draw(st.sampled_from(["mh", "identity", "random"]))
+    if start == "mh":
+        init = metropolis_hastings(graph)
+    elif start == "identity":
+        init = MixingMatrix(np.eye(n))
+    else:
+        init = project_feasible(rng.uniform(0.0, 1.0, (n, n)), graph)
+    return gram(center_columns(g)), graph, init
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_solver_cases())
+def test_solver_properties(case):
+    """A solve returns a MixingMatrix on the graph that is never worse than
+    its init, with a gap in [0, f(W)]. At the default max_iters it stops
+    on the certificate, within tol * f(init); at 1 it stops at the cap. A
+    zero Gamma returns the init itself."""
+    gamma, graph, init = case
+    f0 = gme_objective(gamma, init)
+    default = GmeSolverParams()
+    for params in (default, GmeSolverParams(max_iters=1)):
+        w, gap = gme._certified_solve(gamma, graph, params, init)
+        assert isinstance(w, MixingMatrix)
+        assert graph.off_support(w.w) is None
+        f = gme_objective(gamma, w)
+        assert f <= f0
+        assert 0.0 <= gap <= max(f, 0.0)  # f < 0 is a rounded 0
+        if params is default:
+            # rounding: see test_solver_is_certified_and_scales_with_gamma
+            assert gap <= params.tol * f0 + 1e-13 * graph.n * np.trace(gamma.gamma)
+        if not gamma.gamma.any():
+            assert w is init
+
+
+def test_certificate_floor_certifies_a_zero_optimum():
+    """Gamma is PSD, so 0 bounds the optimum from below. On the period-3
+    instance, whose optimum is 0, a solve is certified once f(W) itself is
+    within tol * f(init), and its gap is f(W)."""
+    rng = np.random.default_rng(20)
+    gamma = gram(center_columns(_period3_gradients(rng)))
+    graph = build_ring(6)
+    start = project_feasible(rng.uniform(0, 1, (6, 6)), graph)
+    params = GmeSolverParams()
+    w, gap = gme._certified_solve(gamma, graph, params, start)
+    f = gme_objective(gamma, w)
+    assert 0.0 <= gap <= f <= params.tol * gme_objective(gamma, start)
+
+
+def test_solver_projects_once_per_solve(monkeypatch):
+    """On three random graphs of 16 nodes each solve certifies at its first
+    check, so it runs one Newton projection, on its last iterate."""
+    calls = 0
+    newton = gme._newton_projection
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return newton(*args)
+
+    monkeypatch.setattr(gme, "_newton_projection", counting)
+    for s in range(3):
+        problem = make_random_quadratics(16, 10, seed=s)
+        g = full_gradients(problem, np.random.default_rng(s).standard_normal((10, 16)))
+        ce_gme(g, build_random_connected(16, 0.5, s), SketchConfig(k=16, seed=s))
+    assert calls == 3
 
 
 def test_ce_pipeline_determinism_and_zero_gradients():
