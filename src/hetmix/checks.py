@@ -44,7 +44,6 @@ from .objectives import (
 from .simulator import RunConfig, _refreshed, _simulate, run_dsgd
 from .topology import (
     Topology,
-    build_complete,
     build_random_connected,
     build_ring,
 )
@@ -64,67 +63,40 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# independent oracle for the 3-node quadratic program
+# independent oracle for the quadratic program on small graphs
 
-_W_BASE = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, -1.0]])
-# entry (r, c) of W(u) is _INEQ_A[3r+c] @ u + _INEQ_B[3r+c]; all must be >= 0
-_INEQ_A = np.array(
-    [
-        [1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0],
-        [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1],
-        [-1, 0, -1, 0], [0, -1, 0, -1], [1, 1, 1, 1],
-    ],
-    dtype=float,
-)
-_INEQ_B = np.array([0, 0, 1, 0, 0, 1, 1, 1, -1], dtype=float)
+def quadratic_program_oracle(gamma: np.ndarray, topology: Topology) -> float:
+    """Exact minimum of Tr[W^T Gamma W] over the feasible polytope of a small graph.
 
-
-def _w_of_u(u: np.ndarray) -> np.ndarray:
-    """3x3 doubly stochastic matrix from its free top-left 2x2 block."""
-    flat = _INEQ_A @ u + _INEQ_B
-    return flat.reshape(3, 3)
-
-
-def quadratic_program_oracle(gamma: np.ndarray, seed: int = 0) -> float:
-    """Reference minimum of Tr[W^T Gamma W] over 3x3 doubly stochastic W.
-
-    Full support only. The polytope is parametrized by the top-left 2x2
-    block; a feasible grid of step 0.05 seeds an SLSQP polish from the
-    grid best and from 20 random feasible restarts drawn from seed, and
-    the best polished value wins. The objective is convex, so the
-    polished optimum is global.
+    On the m support entries x, f = x^T Q x with Q[a, b] = Gamma[r_a, r_b]
+    where a and b share a column, and E x stacks the row and column sums.
+    For each set of zero entries that leaves every row and column an entry,
+    a pseudo-inverse (E has rank 2n - 1, Gamma may be low rank) solves the
+    KKT system of min f subject to E x = 1 on the other entries. The least
+    f at a solution with x >= 0 and E x = 1 is the optimum, as a vertex of
+    the convex optimal set is the unique minimizer on its own face. Raises
+    ValueError for m > 12.
     """
-    from scipy.optimize import minimize  # slow to import, and only needed here
-
-    gamma = np.asarray(gamma, dtype=float)
-    axes = np.arange(0.0, 1.025, 0.05)  # 0, 0.05, ..., 1
-    mesh = np.stack(np.meshgrid(*([axes] * 4), indexing="ij"), axis=-1).reshape(-1, 4)
-    entries = mesh @ _INEQ_A.T + _INEQ_B
-    feasible = mesh[np.all(entries >= -1e-12, axis=1)]
-    ws = (feasible @ _INEQ_A.T + _INEQ_B).reshape(-1, 3, 3)
-    vals = np.einsum("nij,ik,nkj->n", ws, gamma, ws)
-    best_u = feasible[int(np.argmin(vals))]
-
-    def objective(u: np.ndarray) -> float:
-        w = _w_of_u(u)
-        return float(np.sum(w * (gamma @ w)))
-
-    rng = np.random.default_rng(seed)
-    starts = [best_u]
-    while len(starts) < 21:
-        u = rng.uniform(0.0, 1.0, 4)
-        if np.all(_INEQ_A @ u + _INEQ_B >= 0.0):
-            starts.append(u)
-    best = float(np.min(vals))
-    cons = {"type": "ineq", "fun": lambda u: _INEQ_A @ u + _INEQ_B}
-    for u0 in starts:
-        res = minimize(
-            objective, u0, method="SLSQP", constraints=cons,
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        if np.min(_INEQ_A @ res.x + _INEQ_B) >= -1e-9:
-            best = min(best, objective(res.x))
-    return best
+    n = topology.n
+    rows, cols = np.nonzero(topology.support_mask())
+    m = rows.size
+    if m > 12:  # 2^m sets of zero entries
+        raise ValueError(f"support has {m} entries, more than 12")
+    g = np.asarray(gamma, dtype=float)
+    scale = float(np.trace(g)) or 1.0  # the KKT matrix at unit scale
+    e = np.zeros((2 * n, m))
+    e[rows, np.arange(m)] = e[n + cols, np.arange(m)] = 1.0
+    q = np.where(cols[:, None] == cols[None, :], g[rows[:, None], rows[None, :]], 0.0) / scale
+    free = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    free = free[np.all(free @ e.T > 0.0, axis=1)]
+    # a zero entry's row and column of the KKT matrix become x_a = 0
+    keep = np.concatenate([free, np.ones((free.shape[0], 2 * n), dtype=bool)], axis=1)
+    kkt = np.where(keep[:, :, None] & keep[:, None, :],
+                   np.block([[q, e.T], [e, np.zeros((2 * n, 2 * n))]]), 0.0)
+    kkt[:, np.arange(m), np.arange(m)] += ~free
+    x = (np.linalg.pinv(kkt) @ np.concatenate([np.zeros(m), np.ones(2 * n)]))[:, :m]
+    ok = (x.min(axis=1) >= -1e-12) & (np.abs(x @ e.T - 1.0).max(axis=1) <= 1e-9)
+    return scale * float(np.einsum("pa,ab,pb->p", x[ok], q, x[ok]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +272,32 @@ def composition_preserves_both() -> CheckResult:
 
 
 def solver_matches_oracle() -> CheckResult:
-    """Projected gradient agrees with the grid-plus-polish oracle on 3 nodes."""
+    """Default solves lie within tol * f(MH) of the exact optimum f*.
+
+    21 instances take the paths on 3 and 4 nodes and the star on 4 in
+    turn, with Gamma from 1 to n - 1 Gaussian rows. Rounding adds
+    1e-13 n tr(Gamma) to both sides of the bound. Every f* lies 1e-3 f(MH)
+    or more below f(MH), so a solver that returns its MH init fails.
+    """
+    graphs = (Topology(3, ((0, 1), (1, 2))), Topology(4, ((0, 1), (1, 2), (2, 3))),
+              Topology(4, ((0, 1), (0, 2), (0, 3))))
+    tol = GmeSolverParams().tol
     rng = np.random.default_rng(606)
-    worst = 0.0
-    for trial in range(20):
-        graph = build_ring(3) if trial < 10 else build_complete(3)
-        d = int(rng.integers(2, 7))
-        gamma = gram(center_columns(rng.standard_normal((d, 3))))
+    worst, deepest, ok = 0.0, 0.0, True
+    for trial in range(21):
+        graph = graphs[trial % 3]
+        n = graph.n
+        gamma = gram(center_columns(rng.standard_normal((int(rng.integers(1, n)), n))))
+        f_mh = gme_objective(gamma, metropolis_hastings(graph))
         got = gme_objective(gamma, solve_gme(gamma, graph))
-        want = quadratic_program_oracle(gamma.gamma, seed=trial)
-        worst = max(worst, abs(got - want))
+        want = quadratic_program_oracle(gamma.gamma, graph)
+        slack = 1e-13 * n * float(np.trace(gamma.gamma))
+        ok &= -slack <= got - want <= tol * f_mh + slack and want <= (1.0 - 1e-3) * f_mh
+        worst, deepest = max(worst, (got - want) / f_mh), max(deepest, want / f_mh)
     return CheckResult(
-        "solver_matches_oracle", worst <= 1e-6,
-        f"max |solver - oracle| = {worst:.3e} over 20 instances",
+        "solver_matches_oracle", ok,
+        f"max (solver - oracle) / f(MH) = {worst:.3e} (tol {tol:.0e}), "
+        f"max oracle / f(MH) = {deepest:.3f} over 21 instances",
     )
 
 

@@ -12,10 +12,10 @@ block per column and one 2n-by-2n system in the row and column
 multipliers. The solve stops on a certificate: its multipliers, corrected
 into a feasible dual of the assignment LP, bound the optimum from below,
 and the solve ends once its objective is within tol * f(init) of that
-bound. The Euclidean projection onto the polytope, exact up to a stated
+bound. Its iterate stays feasible, so it is the result as it stands.
+The Euclidean projection onto the polytope, exact up to a stated
 row-sum and column-sum residual, comes from Newton's method on its dual
-in the 2n row and column multipliers; the solver projects its last
-iterate with it.
+in the 2n row and column multipliers.
 """
 
 from __future__ import annotations
@@ -196,17 +196,15 @@ def project_feasible(m: np.ndarray, topology: Topology) -> MixingMatrix:
     x = np.array(m, dtype=float)
     if x.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {x.shape}")
-    w, _ = _newton_projection(x, topology.support_mask(), None)
+    w, _ = _newton_projection(x, topology.support_mask())
     return MixingMatrix(w)
 
 
-def _newton_projection(
-    z: np.ndarray, support: np.ndarray, ab: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The projection on plain arrays: (W, multipliers), started from ab.
+def _newton_projection(z: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projection on plain arrays: W and its multipliers (alpha, beta).
 
-    ab stacks (alpha, beta); None starts from half the mean excess of each
-    row and column over its share 1/degree. Newton's method minimizes the
+    It starts from half the mean excess of each row and column over its
+    share 1/degree. Newton's method minimizes the
     convex dual phi = ||W||^2 / 2 + sum(alpha) + sum(beta), whose gradient
     is minus the row-sum and column-sum residuals. Its generalized Hessian
     is the signless Laplacian of the bipartite graph of active entries
@@ -217,10 +215,9 @@ def _newton_projection(
     far below the rounding error of phi itself, it still sees descent.
     """
     n = z.shape[0]
-    if ab is None:
-        deg = np.tile(support.sum(axis=1), 2)
-        zs = np.where(support, z, 0.0)
-        ab = (np.concatenate([zs.sum(axis=1), zs.sum(axis=0)]) - 1.0) / (2.0 * deg)
+    deg = np.tile(support.sum(axis=1), 2)
+    zs = np.where(support, z, 0.0)
+    ab = (np.concatenate([zs.sum(axis=1), zs.sum(axis=0)]) - 1.0) / (2.0 * deg)
     diag = np.arange(2 * n)
     _, w, active, res = _primal(z, support, ab)
     err = best = float(np.abs(res).max())
@@ -319,10 +316,10 @@ def solve_gme(
     and one inverse of the 2n-by-2n Schur complement in the row and column
     multipliers serve both the predictor and the corrector.
 
-    Once the primal sums are within _PROJECTION_TOL and X^T Z within
-    params.tol * f(init), a Newton projection (see project_feasible) of the
-    iterate gives the result W, and the multipliers give a lower bound on
-    the optimum (see _dual_gap), floored at 0 as Gamma is PSD. The solve
+    Each Newton step keeps the sums at 1 and the entries positive, so the
+    iterate is the result W. Once its sums are within _PROJECTION_TOL and
+    X^T Z within params.tol * f(init), the multipliers give a lower bound
+    on the optimum (see _dual_gap), floored at 0 as Gamma is PSD. The solve
     stops once f(W) is within params.tol * f(init) of that bound, or after
     params.max_iters iterations. The result is never worse than init: a W
     above f(init) returns init. A zero Gamma or f(init) returns the init
@@ -381,11 +378,13 @@ def _certified_solve(
     z, y = mask.astype(float), np.zeros(2 * n)
 
     def certify():
-        """The projected iterate, its objective and the lower bound that
-        the multipliers certify, in [0, f]."""
+        """The iterate, its objective and the lower bound that the
+        multipliers certify, in [0, f]."""
         w = np.zeros((n, n))
         w[rows[cols, slots], cols] = x[cols, slots]
-        w = MixingMatrix(_newton_projection(w, support, None)[0])
+        # feasible unprojected, also at the max_iters cap: the start's sums are
+        # within 5e-10, each step solves A dx = -r_p to rounding, and x > 0
+        w = MixingMatrix(w)
         gw = g @ w.w
         f = float((w.w * gw).sum())
         gap = _dual_gap(2.0 * gw, w.w, support, gamma.lam_max * y)

@@ -344,16 +344,17 @@ def test_check_catches_injected_corruption(capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    """Neither the import, a refresh solve nor a run loads any scipy module:
-    scipy.optimize doubles the peak memory of an adaptive run, and every
-    import adds to the set-up time of a run."""
+    """Neither the import, a refresh solve, a run nor the oracle check loads
+    any scipy module: scipy is no runtime dependency, scipy.optimize doubles
+    the peak memory of an adaptive run, and every import adds to the set-up
+    time of a run."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hetmix.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     cfg = _write(tmp_path, _BASE.format(out=tmp_path / "h").replace(
         "algorithm = dsgd", "algorithm = hadsgd\nperiod = 10\nsketch_dim = 4"))
     code = (
-        "import sys, numpy as np, hetmix, hetmix.cli\n"
+        "import sys, numpy as np, hetmix, hetmix.checks, hetmix.cli\n"
         "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "loaded = [scipy()]\n"
         "hetmix.ce_gme(np.random.default_rng(0).standard_normal((8, 6)),\n"
@@ -361,11 +362,13 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
         "loaded.append(scipy())\n"
         f"assert hetmix.cli.main(['run', {cfg!r}]) == 0\n"
         "loaded.append(scipy())\n"
+        "assert hetmix.checks.solver_matches_oracle().passed\n"
+        "loaded.append(scipy())\n"
         "print(loaded)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip().splitlines()[-1] == "[[], [], []]"
+    assert out.strip().splitlines()[-1] == "[[], [], [], []]"
 
 
 # --- argparse plumbing -------------------------------------------------

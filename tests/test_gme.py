@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from hetmix import gme
+from hetmix.checks import quadratic_program_oracle
 from hetmix.gme import (
     GmeSolverParams,
     GramMatrix,
@@ -393,7 +394,7 @@ def test_dual_gap_bounds_the_frank_wolfe_gap(case, log_c):
     w = w.w
     for _ in range(4):
         z = w - step * 2.0 * gamma.gamma @ w
-        w, ab = gme._newton_projection(z, support, None)
+        w, ab = gme._newton_projection(z, support)
         grad = 2.0 * gamma.gamma @ w
         gap = gme._dual_gap(grad, w, support, -ab / step)
         rows, cols = linear_sum_assignment(np.where(support, grad, np.inf))
@@ -475,12 +476,12 @@ def _solver_cases(draw):
 def test_solver_properties(case):
     """A solve returns a MixingMatrix on the graph that is never worse than
     its init, with a gap in [0, f(W)]. At the default max_iters it stops
-    on the certificate, within tol * f(init); at 1 it stops at the cap. A
-    zero Gamma returns the init itself."""
+    on the certificate, within tol * f(init); at 1 and 3 it stops at the
+    cap. A zero Gamma returns the init itself."""
     gamma, graph, init = case
     f0 = gme_objective(gamma, init)
     default = GmeSolverParams()
-    for params in (default, GmeSolverParams(max_iters=1)):
+    for params in (default, GmeSolverParams(max_iters=1), GmeSolverParams(max_iters=3)):
         w, gap = gme._certified_solve(gamma, graph, params, init)
         assert isinstance(w, MixingMatrix)
         assert graph.off_support(w.w) is None
@@ -508,9 +509,9 @@ def test_certificate_floor_certifies_a_zero_optimum():
     assert 0.0 <= gap <= f <= params.tol * gme_objective(gamma, start)
 
 
-def test_solver_projects_once_per_solve(monkeypatch):
-    """On three random graphs of 16 nodes each solve certifies at its first
-    check, so it runs one Newton projection, on its last iterate."""
+def test_solver_runs_no_newton_projection(monkeypatch):
+    """On three random graphs of 16 nodes a solve returns its own iterate,
+    which stays feasible, so it runs no Newton projection."""
     calls = 0
     newton = gme._newton_projection
 
@@ -524,7 +525,61 @@ def test_solver_projects_once_per_solve(monkeypatch):
         problem = make_random_quadratics(16, 10, seed=s)
         g = full_gradients(problem, np.random.default_rng(s).standard_normal((10, 16)))
         ce_gme(g, build_random_connected(16, 0.5, s), SketchConfig(k=16, seed=s))
-    assert calls == 3
+    assert calls == 0
+
+
+# --- exact oracle ------------------------------------------------------
+
+_PATH3 = Topology(3, ((0, 1), (1, 2)))
+_PATH4 = Topology(4, ((0, 1), (1, 2), (2, 3)))
+_STAR4 = Topology(4, ((0, 1), (0, 2), (0, 3)))
+
+
+def test_oracle_matches_closed_form_on_two_nodes():
+    """On two nodes W = [[a, 1-a], [1-a, a]], and for a PSD Gamma
+    [[p, r], [r, s]] the objective (p + s) - 2a(1 - a)(p + s - 2r) is least
+    at a = 1/2, where it is (p + s + 2r) / 2. Gamma need not be centered."""
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        b = rng.standard_normal((2, 3))
+        (p, r), (_, s) = gamma = b @ b.T
+        got = quadratic_program_oracle(gamma, build_complete(2))
+        assert got == pytest.approx((p + s + 2.0 * r) / 2.0, rel=1e-12)
+    assert quadratic_program_oracle(np.zeros((2, 2)), build_complete(2)) == 0.0
+
+
+def test_oracle_is_zero_on_three_full_nodes():
+    """W = 11^T / 3 is feasible on K3 and Gamma 1 = 0, so the optimum is 0
+    for every centered Gamma, and a solver on K3 is never tested."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 5):
+        gamma = gram(center_columns(rng.standard_normal((d, 3)))).gamma
+        assert abs(quadratic_program_oracle(gamma, build_complete(3))) <= 1e-13 * np.trace(gamma)
+
+
+def test_oracle_rejects_a_large_support():
+    with pytest.raises(ValueError, match="16 entries"):
+        quadratic_program_oracle(np.zeros((4, 4)), build_complete(4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([_PATH3, _PATH4, _STAR4, build_ring(4)]),
+       st.integers(1, 3), st.integers(0, 2**32))
+def test_oracle_bounds_the_solver_and_random_feasible_points(graph, rank, seed):
+    """On paths, a star and a 4-ring, with Gamma of rank 1 to n - 1, the
+    oracle lies between a solve's certified lower bound f(W) - gap and
+    f(W), and below f(V) of projections V of random matrices."""
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    gamma = gram(center_columns(rng.standard_normal((min(rank, n - 1), n))))
+    want = quadratic_program_oracle(gamma.gamma, graph)
+    slack = 1e-13 * n * np.trace(gamma.gamma)
+    w, gap = gme._certified_solve(gamma, graph, GmeSolverParams(), None)
+    f = gme_objective(gamma, w)
+    assert f - gap - slack <= want <= f + slack
+    for _ in range(3):
+        v = project_feasible(rng.uniform(0.0, 1.0, (n, n)), graph)
+        assert want <= gme_objective(gamma, v) + slack
 
 
 def test_ce_pipeline_determinism_and_zero_gradients():
