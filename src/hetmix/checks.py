@@ -41,7 +41,7 @@ from .objectives import (
     relative_zeta_sq_at,
     zeta_sq_at,
 )
-from .simulator import RunConfig, _refreshed, _simulate, run_dsgd
+from .simulator import RunConfig, _refreshed, _simulate_one, run_dsgd
 from .topology import (
     Topology,
     build_random_connected,
@@ -149,8 +149,8 @@ def _record(problem, topology, cfg, matrices_for_step) -> list:
     The run takes cfg.steps + 1 steps, so the hook sees the last step's next X.
     """
     steps = []
-    _simulate(problem, topology, replace(cfg, steps=cfg.steps + 1),
-              _recording(matrices_for_step, steps))
+    _simulate_one((problem, topology, replace(cfg, steps=cfg.steps + 1),
+                   _recording(matrices_for_step, steps)))
     return steps
 
 

@@ -22,7 +22,7 @@ from .objectives import (
     make_replicated,
     make_two_class_ring,
 )
-from .simulator import DivergenceError, MetricsLog, RunConfig, run_dsgd, run_hadsgd
+from .simulator import DivergenceError, MetricsLog, RunConfig, _fixed, _refreshed, _simulate
 from .topology import (
     build_complete,
     build_random_connected,
@@ -172,7 +172,8 @@ def _builder(cfg: dict, key: str):
     return table[cfg.get(key, default)][1]
 
 
-def _run_repetition(cfg: dict, rep: int) -> MetricsLog:
+def _repetition(cfg: dict, rep: int) -> tuple:
+    """The (problem, topology, run config, matrices_for_step) of one repetition."""
     seed = cfg["seed"]
     data_seed = seed + rep
     try:
@@ -189,14 +190,33 @@ def _run_repetition(cfg: dict, rep: int) -> MetricsLog:
         cfg, lr, sketch_seed=seed + 20_000 + rep, noise_seed=seed + 10_000 + rep
     )
     if run_cfg.algorithm == "hadsgd":
-        return run_hadsgd(problem, topology, run_cfg)
+        return problem, topology, run_cfg, _refreshed(topology, run_cfg, None)
     fixed = _builder(cfg, "weights")(topology)
     pairs = None
     if run_cfg.algorithm == "decoupled":
         pairs = pairing_matrix(topology.n)
         if topology.off_support(pairs.w) is not None:
             raise ConfigError("decoupled pairing needs edges (2k, 2k+1) in the graph")
-    return run_dsgd(problem, topology, fixed, run_cfg, w_grads=pairs)
+    return problem, topology, run_cfg, _fixed(fixed, pairs)
+
+
+def _repetitions(cfg: dict):
+    """Yield each repetition's MetricsLog in order, and raise the first failure in its place.
+
+    The repetitions run together in one step loop. A repetition whose
+    set-up fails is the last one built.
+    """
+    runs, failure = [], []
+    for rep in range(cfg.get("reps", 1)):
+        try:
+            runs.append(_repetition(cfg, rep))
+        except (ConfigError, ArithmeticError) as exc:
+            failure.append(exc)
+            break
+    for outcome in _simulate(runs) + failure:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
 
 
 def _final_line(name: str, rep: int, log: MetricsLog) -> str:
@@ -230,8 +250,7 @@ def cmd_run(config_path: str) -> int:
         os.makedirs(cfg["out"], exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create out directory: {exc}") from exc
-    for rep in range(cfg.get("reps", 1)):
-        log = _run_repetition(cfg, rep)
+    for rep, log in enumerate(_repetitions(cfg)):
         out = os.path.join(cfg["out"], f"{cfg['name']}_rep{rep}.csv")
         try:
             log.write_csv(out)
@@ -248,8 +267,7 @@ _SHARED_KEYS = ("topology", "objective", "n", "d", "steps", "seed", "noise_var")
 def _tail_means(cfg: dict) -> dict:
     sums = {metric: 0.0 for metric in _COMPARE_METRICS}
     reps = cfg.get("reps", 1)
-    for rep in range(reps):
-        log = _run_repetition(cfg, rep)
+    for log in _repetitions(cfg):
         tail = slice(-max(1, cfg["steps"] // 10), None)
         for metric in _COMPARE_METRICS:
             sums[metric] += float(getattr(log, metric)[tail].mean())

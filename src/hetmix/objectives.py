@@ -184,10 +184,18 @@ def full_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d, problem.n):
         raise ValueError(f"expected shape {(problem.d, problem.n)}, got {x.shape}")
-    a = problem.a
-    r = a @ x.T[:, :, None] + problem.b[:, :, None]
-    out = np.empty_like(x)
-    out[...] = 2.0 * (a.transpose(0, 2, 1) @ r)[..., 0].T
+    return _node_gradients(problem.a, problem.b, x, np.empty_like(x))
+
+
+def _node_gradients(a, b, x, out) -> np.ndarray:
+    """out[..., :, i] = 2 A_i^T (A_i x[..., :, i] + b_i), for a of shape
+    (..., n, m, d), b (..., n, m) and x (..., d, n); returns out.
+
+    Every leading index runs the same per-node products, so a stack of
+    problems gets the bits that full_gradients gives each of them.
+    """
+    r = a @ x.swapaxes(-1, -2)[..., None] + b[..., None]
+    out[...] = 2.0 * (a.swapaxes(-1, -2) @ r)[..., 0].swapaxes(-1, -2)
     return out
 
 

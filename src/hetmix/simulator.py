@@ -5,9 +5,14 @@ starting from X = 0: Wp mixes the parameters and Wg the stochastic
 gradients G. Metrics are recorded before each update from the step's own
 state, gradients, and gradient-mixing matrix.
 
+One step loop runs any number of runs, such as the repetitions of a
+config, side by side along a leading repetition axis (see _simulate);
+each run keeps the bits it gets alone.
+
 The step loop makes no metric reduction: it buffers each step's X, G and
 G Wg, and the five metrics of every _CHUNK steps are computed together,
-with batched reductions that keep the bits of their per-step forms.
+run by run, with batched reductions that keep the bits of their per-step
+forms.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .gme import GmeSolverParams, SketchConfig, ce_gme
 from .mixing import MixingMatrix, metropolis_hastings
-from .objectives import Problem, stochastic_gradients
+from .objectives import Problem, _node_gradients
 from .topology import Topology
 
 __all__ = [
@@ -139,58 +144,121 @@ def _chunk_metrics(problem: Problem, x, g, gw, cols: dict, lo: int) -> None:
     cols["loss"][lo:hi] = problem.loss(mean[:, :, 0])
 
 
-def _simulate(
-    problem: Problem,
-    topology: Topology,
-    cfg: RunConfig,
-    matrices_for_step,
-) -> MetricsLog:
-    """Run X <- X Wp - eta G Wg for cfg.steps steps and return the metrics.
+def _simulate(runs: list) -> list:
+    """Run X <- X Wp - eta G Wg on each run and return the runs' outcomes, in order.
 
-    A step draws the gradients G (exact where problem.noise_std is 0),
-    takes the matrices (Wp, Wg) = matrices_for_step(t, X, G), and updates
-    X. It computes G Wg once, for both the gme metric and the update. Its
-    X, G and G Wg go into buffers of _CHUNK steps, which _chunk_metrics
-    reduces every _CHUNK steps and after the last step. The X and G passed
-    to matrices_for_step are fresh arrays that nothing writes afterwards,
-    so a hook may keep them to record the run.
+    runs holds (problem, topology, cfg, matrices_for_step) tuples, whose
+    problems share their shapes and whose configs share cfg.steps. Their
+    states stack along a leading repetition axis, X of shape (R, d, n), and
+    every step advances all of them at once:
+    - G is one stacked gradient product at X, plus the step's noise in the
+      runs whose problem.noise_std is not 0. A noisy run draws the noise of
+      _CHUNK steps at a time, as (T, d, n), which gives the bits of T draws
+      of (d, n);
+    - each run's hook is called as matrices_for_step(t, X[r], G[r]), and
+      the (Wp, Wg) it returns are copied into (R, n, n) stacks. X and G are
+      fresh for every step and nothing writes them afterwards, so a hook
+      may keep its views to record the run;
+    - G Wg (for the gme metric and the update), the update and the
+      divergence test are one stacked operation each.
+    Each step's X, G and G Wg go into buffers of _CHUNK steps, which
+    _chunk_metrics reduces run by run every _CHUNK steps and after the last
+    step. The stacked products run the same per-matrix operations as one
+    run alone, so a run's metrics do not depend on the runs beside it.
+
+    A run's outcome is its MetricsLog, or the exception that stopped it: a
+    DivergenceError, or an ArithmeticError from its hook. A stopped run
+    leaves the stack and the others go on; any other exception propagates.
     """
-    d, n = problem.d, topology.n
-    if problem.n != n:
-        raise ValueError(f"problem has {problem.n} nodes but graph has {n}")
-    if cfg.lr > 2.0 / problem.smoothness:
-        warnings.warn(
-            f"lr {cfg.lr:.3g} exceeds 2/L = {2.0 / problem.smoothness:.3g}; "
-            "expect divergence",
-            RuntimeWarning,
-        )
-    x = np.zeros((d, n))
-    rng = np.random.default_rng(cfg.noise_seed)
-    cols = {name: np.empty(cfg.steps) for name in
-            ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")}
-    size = min(_CHUNK, cfg.steps)
-    xs, gs, gws = (np.empty((size, d, n)) for _ in range(3))
-    for t in range(cfg.steps):
-        g = stochastic_gradients(problem, x, rng)
-        wp, wg = matrices_for_step(t, x, g)
+    if not runs:
+        return []
+    problems, _, cfgs, hooks = zip(*runs)
+    steps, (d, n) = cfgs[0].steps, (problems[0].d, problems[0].n)
+    for problem, topology, cfg, _ in runs:
+        if problem.n != topology.n:
+            raise ValueError(f"problem has {problem.n} nodes but graph has {topology.n}")
+        if cfg.steps != steps or problem.a.shape != problems[0].a.shape:
+            raise ValueError("runs must share cfg.steps and their problems' shapes")
+        if cfg.lr > 2.0 / problem.smoothness:
+            warnings.warn(
+                f"lr {cfg.lr:.3g} exceeds 2/L = {2.0 / problem.smoothness:.3g}; "
+                "expect divergence",
+                RuntimeWarning,
+            )
+    outcomes: list = [None] * len(runs)
+    live = list(range(len(runs)))  # the run in each row of the stacks
+    rngs = [np.random.default_rng(cfg.noise_seed) for cfg in cfgs]
+    cols = [{name: np.empty(steps) for name in
+             ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")} for _ in runs]
+    a = np.stack([problem.a for problem in problems])
+    b = np.stack([problem.b for problem in problems])
+    lr = np.array([cfg.lr for cfg in cfgs])[:, None, None]
+    noisy = np.array([problem.noise_std > 0.0 for problem in problems])
+    size = min(_CHUNK, steps)
+    xs, gs, gws, noise = (np.zeros((len(runs), size, d, n)) for _ in range(4))
+    wps, wgs = np.empty((len(runs), n, n)), np.empty((len(runs), n, n))
+    x = np.zeros((len(runs), d, n))
+    for t in range(steps):
         k = t % size
-        xs[k] = x
-        gs[k] = g
-        gw = np.matmul(g, wg, out=gws[k])
-        x_new = x @ wp - cfg.lr * gw
-        big = np.abs(x_new).max()
-        if not big <= _DIVERGE_LIMIT:
-            raise DivergenceError(t, f"|X| reached {big:.3e}")
-        x = x_new
-        if k == size - 1 or t == cfg.steps - 1:
-            _chunk_metrics(problem, xs[:k + 1], gs[:k + 1], gws[:k + 1], cols, t - k)
-    return MetricsLog(
-        step=np.arange(cfg.steps),
-        **cols,
-        dist_to_opt_w=_trailing_mean(cols["dist_to_opt"], cfg.window),
-        consensus_w=_trailing_mean(cols["consensus"], cfg.window),
-        gme_w=_trailing_mean(cols["gme"], cfg.window),
-    )
+        if k == 0:
+            span = min(size, steps - t)
+            for i, r in enumerate(live):
+                if noisy[i]:
+                    noise[i, :span] = rngs[r].normal(0.0, problems[r].noise_std, (span, d, n))
+        g = _node_gradients(a, b, x, np.empty_like(x))
+        np.add(g, noise[:, k], out=g, where=noisy[:, None, None])
+        failed = {}
+        for i, r in enumerate(live):
+            try:
+                wps[i], wgs[i] = hooks[r](t, x[i], g[i])
+            except ArithmeticError as exc:
+                failed[i] = exc
+                wps[i] = wgs[i] = 0.0  # keeps its row finite until it leaves below
+        xs[:, k] = x
+        gs[:, k] = g
+        gw = np.matmul(g, wgs, out=gws[:, k])
+        x = x @ wps - lr * gw
+        if not np.abs(x).max() <= _DIVERGE_LIMIT:
+            big = np.abs(x).max(axis=(1, 2))
+            for i in np.flatnonzero(~(big <= _DIVERGE_LIMIT)).tolist():
+                failed.setdefault(i, DivergenceError(t, f"|X| reached {big[i]:.3e}"))
+        if failed:
+            for i, exc in failed.items():
+                outcomes[live[i]] = exc
+            keep = [i for i in range(len(live)) if i not in failed]
+            live = [live[i] for i in keep]
+            if not live:
+                break
+            a, b, lr, noisy, xs, gs, gws, noise, wps, wgs, x = (
+                v[keep] for v in (a, b, lr, noisy, xs, gs, gws, noise, wps, wgs, x))
+        if k == size - 1 or t == steps - 1:
+            for i, r in enumerate(live):
+                _chunk_metrics(problems[r], xs[i, :k + 1], gs[i, :k + 1], gws[i, :k + 1],
+                               cols[r], t - k)
+    for r in live:
+        outcomes[r] = MetricsLog(
+            step=np.arange(steps),
+            **cols[r],
+            dist_to_opt_w=_trailing_mean(cols[r]["dist_to_opt"], cfgs[r].window),
+            consensus_w=_trailing_mean(cols[r]["consensus"], cfgs[r].window),
+            gme_w=_trailing_mean(cols[r]["gme"], cfgs[r].window),
+        )
+    return outcomes
+
+
+def _fixed(w: MixingMatrix, w_grads: MixingMatrix | None = None):
+    """The matrices_for_step of run_dsgd: Wp = W at every step, and Wg = W unless w_grads."""
+    wp = w.w
+    wg = wp if w_grads is None else w_grads.w
+    return lambda t, x, g: (wp, wg)
+
+
+def _simulate_one(run) -> MetricsLog:
+    """The log of one run, or the exception that stopped it, raised."""
+    (result,) = _simulate([run])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_dsgd(
@@ -202,13 +270,7 @@ def run_dsgd(
     w_grads: MixingMatrix | None = None,
 ) -> MetricsLog:
     """Fixed mixing: X <- X W - eta G Wg, with Wg = W unless w_grads splits them."""
-    wp = w.w
-    wg = wp if w_grads is None else w_grads.w
-
-    def matrices(t, x, g):
-        return wp, wg
-
-    return _simulate(problem, topology, cfg, matrices)
+    return _simulate_one((problem, topology, cfg, _fixed(w, w_grads)))
 
 
 def _refreshed(topology: Topology, cfg: RunConfig, solver_params: GmeSolverParams | None):
@@ -242,4 +304,4 @@ def run_hadsgd(
     matrix is applied on even steps and Metropolis-Hastings on odd steps
     (refreshes always land on even steps).
     """
-    return _simulate(problem, topology, cfg, _refreshed(topology, cfg, solver_params))
+    return _simulate_one((problem, topology, cfg, _refreshed(topology, cfg, solver_params)))

@@ -21,6 +21,10 @@ from hetmix.cli import (
     main,
     parse_config,
 )
+from hetmix.mixing import metropolis_hastings, pairing_matrix
+from hetmix.objectives import make_random_quadratics, make_two_class_ring
+from hetmix.simulator import RunConfig, run_dsgd, run_hadsgd
+from hetmix.topology import build_random_connected, build_ring
 
 _BASE = """\
 # tiny but complete experiment description
@@ -225,7 +229,7 @@ def test_run_lets_a_simulator_error_through(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("simulator bug")
 
-    monkeypatch.setattr("hetmix.cli.run_dsgd", broken)
+    monkeypatch.setattr("hetmix.cli._simulate", broken)
     with pytest.raises(ValueError, match="simulator bug"):
         cmd_run(_write(tmp_path, _BASE.format(out=tmp_path / "b")))
 
@@ -247,6 +251,74 @@ def test_run_reports_divergence(tmp_path, capsys):
         code = cmd_run(_write(tmp_path, text))
     assert code == 3
     assert "diverged at step" in capsys.readouterr().out
+
+
+def test_run_writes_the_repetitions_before_a_divergent_one(tmp_path, capsys):
+    # at lr = 0.15 repetition 0 settles near its optimum and repetition 1 blows up
+    text = _set_keys(_BASE.format(out=tmp_path / "d"), {"seed": "25", "steps": "600"})
+    text = text.replace("lr_relative = 0.2", "lr = 0.15")
+    with pytest.warns(RuntimeWarning, match="expect divergence"):
+        code = cmd_run(_write(tmp_path, text))
+    assert code == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and printed[0].startswith("tiny rep 0: dist_to_opt_w=")
+    assert "diverged at step 395" in printed[1]
+    assert not (tmp_path / "d" / "tiny_rep1.csv").exists()
+    problem = make_random_quadratics(6, 4, 4, 25, 0.1)
+    with pytest.warns(RuntimeWarning, match="expect divergence"):
+        alone = run_dsgd(problem, build_ring(6), metropolis_hastings(build_ring(6)),
+                         RunConfig(steps=600, lr=0.15, window=3, noise_seed=10_025))
+    alone.write_csv(tmp_path / "alone.csv")
+    assert (tmp_path / "d" / "tiny_rep0.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+@st.composite
+def _batched_configs(draw):
+    algorithm = draw(st.sampled_from(["dsgd", "decoupled", "hadsgd"]))
+    steps = draw(st.integers(1, 3 * 64).filter(lambda s: s % 64))
+    if algorithm == "decoupled":
+        keys = {"objective": "two_class", "topology": "ring", "n": 16}
+    else:
+        keys = {"objective": "random", "topology": draw(st.sampled_from(["ring", "random"])),
+                "n": draw(st.integers(3, 8))}
+    keys.update(algorithm=algorithm, steps=steps, d=draw(st.integers(1, 5)),
+                noise_var=draw(st.sampled_from([0.0, 0.01, 0.3])),
+                reps=draw(st.integers(1, 3)), seed=draw(st.integers(0, 1000)),
+                window=draw(st.integers(1, 7)), period=draw(st.integers(5, 60)))
+    return keys
+
+
+def _alone(keys, rep):
+    """The MetricsLog of one repetition of a _batched_configs config, run by itself."""
+    seed, n, d = keys["seed"], keys["n"], keys["d"]
+    data_seed, noise_std = seed + rep, math.sqrt(keys["noise_var"])
+    if keys["objective"] == "two_class":
+        problem = make_two_class_ring(d, data_seed, noise_std)
+    else:
+        problem = make_random_quadratics(n, d, d, data_seed, noise_std)
+    graph = build_ring(n) if keys["topology"] == "ring" else build_random_connected(
+        n, 0.5, data_seed)
+    cfg = RunConfig(steps=keys["steps"], lr=0.2 / problem.smoothness,
+                    algorithm=keys["algorithm"], period=keys["period"], sketch_dim=8,
+                    window=keys["window"], sketch_seed=seed + 20_000 + rep,
+                    noise_seed=seed + 10_000 + rep)
+    if keys["algorithm"] == "hadsgd":
+        return run_hadsgd(problem, graph, cfg)
+    pairs = pairing_matrix(n) if keys["algorithm"] == "decoupled" else None
+    return run_dsgd(problem, graph, metropolis_hastings(graph), cfg, w_grads=pairs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_batched_configs())
+def test_run_writes_each_repetition_as_it_runs_alone(tmp_path_factory, keys):
+    tmp = tmp_path_factory.mktemp("batch")
+    text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    text += f"name = prop\nout = {tmp / 'o'}\nlr_relative = 0.2\nsketch_dim = 8\n"
+    assert cmd_run(_write(tmp, text)) == 0
+    for rep in range(keys["reps"]):
+        _alone(keys, rep).write_csv(tmp / "alone.csv")
+        assert (tmp / "o" / f"prop_rep{rep}.csv").read_bytes() == (
+            tmp / "alone.csv").read_bytes(), rep
 
 
 def test_run_adaptive_on_ring_of_32(tmp_path, capsys):

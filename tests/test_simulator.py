@@ -24,6 +24,7 @@ from hetmix.simulator import (
     RunConfig,
     _refreshed,
     _simulate,
+    _simulate_one,
     run_dsgd,
     run_hadsgd,
 )
@@ -236,7 +237,7 @@ def test_the_hook_inputs_are_never_written_after_the_call(algorithm):
         copies.append((x.copy(), grads.copy()))
         return schedule(t, x, grads)
 
-    _simulate(p, g, cfg, hook)
+    _simulate_one((p, g, cfg, hook))
     assert len(kept) == cfg.steps
     for (x, grads), (x0, g0) in zip(kept, copies):
         assert np.array_equal(x, x0) and np.array_equal(grads, g0)
@@ -257,21 +258,49 @@ def test_divergence_raises_with_step():
 
 @pytest.mark.parametrize("k", [0, _CHUNK // 2, _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK - 1])
 def test_nan_gradients_raise_at_their_step(monkeypatch, k):
-    real = hetmix.simulator.stochastic_gradients
+    real = hetmix.simulator._node_gradients
     calls = []
 
-    def poisoned(problem, x, rng):
+    def poisoned(a, b, x, out):
         calls.append(None)
-        g = real(problem, x, rng)
+        g = real(a, b, x, out)
         return g if len(calls) <= k else np.full_like(g, np.nan)
 
-    monkeypatch.setattr(hetmix.simulator, "stochastic_gradients", poisoned)
+    monkeypatch.setattr(hetmix.simulator, "_node_gradients", poisoned)
     p = make_random_quadratics(5, 4, seed=55, noise_std=0.1)
     g = build_ring(5)
     cfg = RunConfig(steps=3 * _CHUNK, lr=0.1 / p.smoothness)
     with pytest.raises(DivergenceError, match="nan") as exc:
         run_dsgd(p, g, metropolis_hastings(g), cfg)
     assert exc.value.step == k
+
+
+def test_a_stopped_run_leaves_the_others_as_they_run_alone():
+    """Run 0 diverges (at step 79), and then run 2's hook raises an
+    ArithmeticError from the row run 0 left; runs 1 and 3, on either side of
+    them in the stack, keep their solo bits."""
+    graphs = [build_random_connected(6, 0.6, seed=r) for r in range(4)]
+    problems = [make_random_quadratics(6, 4, seed=60 + r, noise_std=0.2 * (r % 2))
+                for r in range(4)]
+    cfgs = [RunConfig(steps=2 * _CHUNK + 5, lr=(30.0 if r == 0 else 0.2) / p.smoothness,
+                      algorithm="hadsgd" if r == 3 else "dsgd", period=10, sketch_dim=8,
+                      noise_seed=r) for r, p in enumerate(problems)]
+    mh = [metropolis_hastings(graph) for graph in graphs]
+
+    def refresh_fails(t, x, grads):
+        if t == 2 * _CHUNK + 1:
+            raise ArithmeticError("refresh failed")
+        return mh[2].w, mh[2].w
+
+    hooks = [_fixed(mh[0].w, mh[0].w), _fixed(mh[1].w, mh[1].w), refresh_fails,
+             _refreshed(graphs[3], cfgs[3], _SHALLOW)]
+    with pytest.warns(RuntimeWarning, match="expect divergence"):
+        outcomes = _simulate(list(zip(problems, graphs, cfgs, hooks)))
+    assert isinstance(outcomes[0], DivergenceError) and outcomes[0].step == 79
+    assert isinstance(outcomes[2], ArithmeticError)
+    assert _logs_equal(outcomes[1], run_dsgd(problems[1], graphs[1], mh[1], cfgs[1]))
+    assert _logs_equal(outcomes[3], run_hadsgd(problems[3], graphs[3], cfgs[3],
+                                               solver_params=_SHALLOW))
 
 
 def test_run_config_validation():
@@ -360,7 +389,7 @@ def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
         wg = metropolis_hastings(build_complete(n)).w if algorithm == "decoupled" else wp
         schedule = _fixed(wp, wg)
     rec = []
-    log = _simulate(p, g, cfg, _recording(schedule, rec))
+    log = _simulate_one((p, g, cfg, _recording(schedule, rec)))
     want = _per_step_metrics(p, rec)
     for name in (*_X_METRICS, "gme"):
         assert np.array_equal(getattr(log, name), want[name]), name
