@@ -16,7 +16,6 @@ from .gme import (
     gme_objective,
     gram,
     jl_required_dim,
-    project_feasible,
     sketch,
     solve_gme,
 )
@@ -36,7 +35,6 @@ from .objectives import (
     make_two_class_ring,
     permute_nodes,
     relative_zeta_sq_at,
-    stochastic_gradients,
     zeta_sq_at,
 )
 from .simulator import (

@@ -1,8 +1,8 @@
 """Numerical property checks, runnable from the command line or the tests.
 
 Each check returns a CheckResult and is deterministic. The quadratic
-program oracle deliberately avoids the package's own projection and
-solver so the two routes stay independent.
+program oracle deliberately avoids the package's own solver so the two
+routes stay independent.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .gme import (
     gme_objective,
     gram,
     jl_required_dim,
-    project_feasible,
     sketch,
     solve_gme,
 )
@@ -109,7 +108,41 @@ def _random_graph(rng: np.random.Generator) -> Topology:
 
 
 def _random_feasible(topology: Topology, rng: np.random.Generator) -> MixingMatrix:
-    return project_feasible(rng.uniform(0.0, 1.0, (topology.n, topology.n)), topology)
+    """A Dirichlet-weighted mix of the identity and 1 to 4 random permutation
+    matrices inside the support. By Birkhoff-von Neumann every feasible
+    matrix is such a mix, and each draw is feasible by construction; with
+    few permutations it is often zero on part of the support."""
+    n = topology.n
+    perms = [np.arange(n)]
+    perms += [_random_permutation(topology, rng) for _ in range(int(rng.integers(1, 5)))]
+    w = np.zeros((n, n))
+    for weight, perm in zip(rng.dirichlet(np.ones(len(perms))), perms):
+        w[np.arange(n), perm] += weight
+    return MixingMatrix(w)
+
+
+def _random_permutation(topology: Topology, rng: np.random.Generator) -> np.ndarray:
+    """perm with each perm[i] equal to i or a neighbour of i, as random
+    directed cycles along edges.
+
+    A walk starts at a random free node and steps to random free neighbours
+    until it has none. Its cycle closes at the last node on the walk that
+    is adjacent to the start, and the nodes after it are free again; a walk
+    that cannot leave its start leaves that node fixed.
+    """
+    adjacent = topology.support_mask()
+    perm = np.arange(topology.n)
+    free = np.ones(topology.n, dtype=bool)
+    while free.any():
+        walk = [int(rng.choice(np.flatnonzero(free)))]
+        free[walk[0]] = False
+        while (step := np.flatnonzero(adjacent[walk[-1]] & free)).size:
+            walk.append(int(rng.choice(step)))
+            free[walk[-1]] = False
+        close = max(k for k, i in enumerate(walk) if adjacent[walk[0], i])
+        perm[walk[:close + 1]] = np.roll(walk[:close + 1], -1)
+        free[walk[close + 1:]] = True
+    return perm
 
 
 def _random_gme_output(topology: Topology, rng: np.random.Generator) -> MixingMatrix:
@@ -489,9 +522,7 @@ def sketch_dimension_effect() -> CheckResult:
     good64 = 0
     k1_worse = 0
     for seed in range(20):
-        init = project_feasible(
-            np.random.default_rng(1000 + seed).uniform(0.0, 1.0, (6, 6)), graph
-        )
+        init = _random_feasible(graph, np.random.default_rng(1000 + seed))
         w64 = ce_gme(g, graph, SketchConfig(64, seed), init=init)
         w1 = ce_gme(g, graph, SketchConfig(1, seed), init=init)
         o64 = gme_objective(gamma, w64)

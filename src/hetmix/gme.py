@@ -13,9 +13,6 @@ multipliers. The solve stops on a certificate: its multipliers, corrected
 into a feasible dual of the assignment LP, bound the optimum from below,
 and the solve ends once its objective is within tol * f(init) of that
 bound. Its iterate stays feasible, so it is the result as it stands.
-The Euclidean projection onto the polytope, exact up to a stated
-row-sum and column-sum residual, comes from Newton's method on its dual
-in the 2n row and column multipliers.
 """
 
 from __future__ import annotations
@@ -28,14 +25,8 @@ import numpy as np
 from .mixing import MixingMatrix, metropolis_hastings
 from .topology import Topology
 
-_RIDGE = 1e-10  # added to the Newton system's diagonal, which has degree-sized entries
-_ARMIJO = 1e-4  # sufficient-decrease fraction of the projection's line search
-# Newton iterations without a new smallest residual before a projection gives
-# up; converging cold starts at input scales up to 1e8 went at most 35 without
-_STALL_ITERS = 50
-# largest row-sum or column-sum residual of a projection, its only error
-_PROJECTION_TOL = 1e-10
-_PROJECTION_MAX_ITERS = 5000  # Newton iterations of one projection
+# largest row-sum or column-sum residual of an iterate the solve may certify
+_SUM_TOL = 1e-10
 # primal regularization of the solver's column blocks, against Gamma scaled
 # to a largest eigenvalue of 1: keeps a block invertible where rank Gamma is
 # below the block's size and Z/X goes to 0 on its entries
@@ -50,7 +41,6 @@ __all__ = [
     "gram",
     "sketch",
     "jl_required_dim",
-    "project_feasible",
     "solve_gme",
     "ce_gme",
     "gme_objective",
@@ -177,119 +167,6 @@ def jl_required_dim(m: int, delta: float, eps: float) -> int:
     return ceil(100.0 * log(m / delta) / eps**2)
 
 
-def project_feasible(m: np.ndarray, topology: Topology) -> MixingMatrix:
-    """Euclidean projection onto the feasible polytope, exact up to _PROJECTION_TOL.
-
-    The projection of Z is W = max(Z - alpha 1^T - 1 beta^T, 0) on the
-    support and 0 off it, for the row and column multipliers (alpha, beta)
-    at which every row and column of W sums to one. Newton's method finds
-    them from a cold start (see _newton_projection). The result is
-    nonnegative and exactly zero off the support, so its only error is the
-    largest row-sum or column-sum residual, which is at most
-    _PROJECTION_TOL, within MixingMatrix's 1e-9. Raises
-    ArithmeticError, naming the residual, if _PROJECTION_MAX_ITERS Newton
-    steps do not get there, or if the residual sets no new minimum in
-    _STALL_ITERS consecutive steps, as where its rounding floor lies above
-    _PROJECTION_TOL.
-    """
-    n = topology.n
-    x = np.array(m, dtype=float)
-    if x.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)}, got {x.shape}")
-    w, _ = _newton_projection(x, topology.support_mask())
-    return MixingMatrix(w)
-
-
-def _newton_projection(z: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projection on plain arrays: W and its multipliers (alpha, beta).
-
-    It starts from half the mean excess of each row and column over its
-    share 1/degree. Newton's method minimizes the
-    convex dual phi = ||W||^2 / 2 + sum(alpha) + sum(beta), whose gradient
-    is minus the row-sum and column-sum residuals. Its generalized Hessian
-    is the signless Laplacian of the bipartite graph of active entries
-    (rows on one side, columns on the other), which is singular along
-    (1, -1) on every component of the active graph, hence the ridge. An
-    Armijo line search on phi globalizes the steps. It measures the change
-    of phi entry by entry, so that near the solution, where that change is
-    far below the rounding error of phi itself, it still sees descent.
-    """
-    n = z.shape[0]
-    deg = np.tile(support.sum(axis=1), 2)
-    zs = np.where(support, z, 0.0)
-    ab = (np.concatenate([zs.sum(axis=1), zs.sum(axis=0)]) - 1.0) / (2.0 * deg)
-    diag = np.arange(2 * n)
-    _, w, active, res = _primal(z, support, ab)
-    err = best = float(np.abs(res).max())
-    stalled = 0
-    for it in range(_PROJECTION_MAX_ITERS + 1):
-        if err <= _PROJECTION_TOL:
-            return w, ab
-        if it == _PROJECTION_MAX_ITERS:
-            break
-        h = _hessian(active)
-        h[diag, diag] += _RIDGE
-        d = np.linalg.solve(h, res)
-        slope = float(res @ d)  # minus the directional derivative of phi
-        shift = d[:n, None] + d[None, n:]
-        step = 1.0
-        cand = ab + d
-        while True:
-            t, w_c, active_c, res_c = _primal(z, support, cand)
-            # phi(cand) - phi(ab) is -step * slope plus these terms; an entry
-            # active at both points contributes (step * shift)^2 / 2 exactly
-            u = step * shift
-            quad = np.where(active, 0.5 * u * u - 0.5 * np.minimum(t, 0.0) ** 2,
-                            0.5 * w_c * w_c)
-            if float(quad.sum()) <= (1.0 - _ARMIJO) * step * slope:
-                break
-            step *= 0.5
-            cand = ab + step * d
-            if np.array_equal(cand, ab):
-                raise ArithmeticError(
-                    f"Newton projection line search made no progress (residual {err:.3e})"
-                )
-        ab, w, active, res = cand, w_c, active_c, res_c
-        err = float(np.abs(res).max())
-        if err < best:
-            best, stalled = err, 0
-            continue
-        stalled += 1
-        if stalled == _STALL_ITERS:
-            raise ArithmeticError(
-                f"Newton projection stalled at residual {best:.3e} "
-                f"(no smaller residual in {_STALL_ITERS} iterations)"
-            )
-    raise ArithmeticError(
-        f"Newton projection did not converge in {_PROJECTION_MAX_ITERS} "
-        f"iterations (residual {err:.3e})"
-    )
-
-
-def _primal(z: np.ndarray, support: np.ndarray, ab: np.ndarray):
-    """Z - alpha - beta at multipliers ab, the W it gives, W's active
-    entries, and W's row then column residuals."""
-    n = z.shape[0]
-    t = z - ab[:n, None] - ab[None, n:]
-    active = support & (t > 0.0)
-    w = np.where(active, t, 0.0)
-    return t, w, active, np.concatenate([w.sum(axis=1), w.sum(axis=0)]) - 1.0
-
-
-def _hessian(active: np.ndarray) -> np.ndarray:
-    """P = E_A^T E_A, for E_A the 0/1 map from the multipliers (alpha, beta)
-    to alpha_i + beta_j on each active entry (i, j): the signless Laplacian
-    of the bipartite graph of A, and the projection dual's Hessian."""
-    n = active.shape[0]
-    a = active.astype(float)
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, n:] = a
-    h[n:, :n] = a.T
-    diag = np.arange(2 * n)
-    h[diag, diag] = np.concatenate([a.sum(axis=1), a.sum(axis=0)])
-    return h
-
-
 def gme_objective(gamma: GramMatrix, w: MixingMatrix) -> float:
     """Tr[W^T Gamma W], the gradient mixing error in Gram form."""
     return float(np.sum(w.w * (gamma.gamma @ w.w)))
@@ -317,7 +194,7 @@ def solve_gme(
     multipliers serve both the predictor and the corrector.
 
     Each Newton step keeps the sums at 1 and the entries positive, so the
-    iterate is the result W. Once its sums are within _PROJECTION_TOL and
+    iterate is the result W. Once its sums are within _SUM_TOL and
     X^T Z within params.tol * f(init), the multipliers give a lower bound
     on the optimum (see _dual_gap), floored at 0 as Gamma is PSD. The solve
     stops once f(W) is within params.tol * f(init) of that bound, or after
@@ -382,8 +259,8 @@ def _certified_solve(
         multipliers certify, in [0, f]."""
         w = np.zeros((n, n))
         w[rows[cols, slots], cols] = x[cols, slots]
-        # feasible unprojected, also at the max_iters cap: the start's sums are
-        # within 5e-10, each step solves A dx = -r_p to rounding, and x > 0
+        # feasible also at the max_iters cap: the start's sums are within
+        # 5e-10, each step solves A dx = -r_p to rounding, and x > 0
         w = MixingMatrix(w)
         gw = g @ w.w
         f = float((w.w * gw).sum())
@@ -394,7 +271,7 @@ def _certified_solve(
         r_p = x.ravel() @ a_t - 1.0
         r_d = (q @ x[:, :, None])[:, :, 0] - (a_t @ y).reshape(n, p) - z
         xz = float((x * z).sum())
-        if xz * gamma.lam_max <= target and np.abs(r_p).max() <= _PROJECTION_TOL:
+        if xz * gamma.lam_max <= target and np.abs(r_p).max() <= _SUM_TOL:
             w, f, bound = certify()
             if f - bound <= target:
                 break
@@ -444,11 +321,9 @@ def _dual_gap(grad: np.ndarray, w: np.ndarray, support: np.ndarray, uv: np.ndarr
     (the bound of the assignment LP's dual, and so at least the
     Frank-Wolfe gap, Jaggi 2013). The solver's multipliers of the sums
     satisfy it where the entries' duals are nonnegative and its dual
-    residual is 0; so do -(alpha, beta) / step, for the projection
-    W = max(Z - alpha - beta, 0) of Z = Y - step grad(Y), where W = Y.
-    Elsewhere adding to u the row minima of the reduced cost grad - u - v
-    over the support, then to v the column minima of the new reduced
-    cost, restores it.
+    residual is 0. Elsewhere adding to u the row minima of the reduced
+    cost grad - u - v over the support, then to v the column minima of the
+    new reduced cost, restores it.
     """
     n = w.shape[0]
     u, v = uv[:n], uv[n:]

@@ -22,7 +22,6 @@ __all__ = [
     "make_replicated",
     "permute_nodes",
     "full_gradients",
-    "stochastic_gradients",
     "zeta_sq_at",
     "relative_zeta_sq_at",
 ]
@@ -36,8 +35,8 @@ class Problem:
     """Node data stacked as read-only arrays, with a cached optimum and smoothness bound.
 
     Node i holds a[i] of shape (m, d) and b[i] of shape (m,). noise_std is
-    the per-entry standard deviation of the additive gradient noise used
-    by stochastic_gradients.
+    the per-entry standard deviation of the additive gradient noise that
+    the simulator's step loop draws.
     """
 
     a: np.ndarray  # (n, m, d)
@@ -197,16 +196,6 @@ def _node_gradients(a, b, x, out) -> np.ndarray:
     r = a @ x.swapaxes(-1, -2)[..., None] + b[..., None]
     out[...] = 2.0 * (a.swapaxes(-1, -2) @ r)[..., 0].swapaxes(-1, -2)
     return out
-
-
-def stochastic_gradients(
-    problem: Problem, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact gradients plus independent per-entry N(0, noise_std^2) noise."""
-    g = full_gradients(problem, x)
-    if problem.noise_std > 0.0:
-        g = g + rng.normal(0.0, problem.noise_std, size=g.shape)
-    return g
 
 
 def _common_point_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -15,5 +15,6 @@ def test_package_reexports_every_public_name(module):
 
 
 def test_package_has_no_deleted_checks():
-    for name in ("validate", "Violation", "CliquePartition"):
+    for name in ("validate", "Violation", "CliquePartition", "project_feasible",
+                 "stochastic_gradients"):
         assert not hasattr(hetmix, name), name

@@ -1,4 +1,4 @@
-"""Centering, Gram matrices, sketching, projection, and the QP solver."""
+"""Centering, Gram matrices, sketching, and the QP solver."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from hetmix import gme
-from hetmix.checks import quadratic_program_oracle
+from hetmix.checks import _random_feasible, quadratic_program_oracle
 from hetmix.gme import (
     GmeSolverParams,
     GramMatrix,
@@ -17,12 +17,10 @@ from hetmix.gme import (
     gme_objective,
     gram,
     jl_required_dim,
-    project_feasible,
     sketch,
     solve_gme,
 )
 from hetmix.mixing import MixingMatrix, metropolis_hastings
-from hetmix.objectives import full_gradients, make_random_quadratics
 from hetmix.topology import (
     Topology,
     build_complete,
@@ -33,14 +31,6 @@ from hetmix.topology import (
 
 
 # --- oracles -----------------------------------------------------------
-
-def _project_complete2_closed_form(m):
-    """On two fully-connected nodes the polytope is the segment
-    [[a, 1-a], [1-a, a]], so the projection has a one-line solution."""
-    a = (2.0 + m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0]) / 4.0
-    a = min(1.0, max(0.0, a))
-    return np.array([[a, 1.0 - a], [1.0 - a, a]])
-
 
 def _period3_gradients(rng, d=10):
     """Columns repeating with period 3 and zero global mean on six nodes."""
@@ -123,142 +113,6 @@ def test_sketch_preserves_pairwise_inner_products():
         if np.abs(approx - exact).max() > bound:
             failures += 1
     assert failures <= 1
-
-
-# --- projection --------------------------------------------------------
-
-def test_projection_matches_closed_form_on_two_nodes():
-    rng = np.random.default_rng(13)
-    graph = build_complete(2)
-    for _ in range(50):
-        m = rng.uniform(-3, 3, (2, 2))
-        got = project_feasible(m, graph).w
-        np.testing.assert_allclose(
-            got, _project_complete2_closed_form(m), atol=1e-8
-        )
-
-
-def test_projection_of_zeros_is_uniform_on_support():
-    w = project_feasible(np.zeros((4, 4)), build_ring(4)).w
-    expected = np.where(build_ring(4).support_mask(), 1 / 3, 0.0)
-    np.testing.assert_allclose(w, expected, atol=1e-9)
-
-
-def test_projection_prefers_the_identity_for_diagonal_targets():
-    w = project_feasible(5.0 * np.eye(4), build_ring(4)).w
-    np.testing.assert_allclose(w, np.eye(4), atol=1e-6)
-
-
-def test_projection_feasible_and_no_closer_point(tmp_seed=14):
-    rng = np.random.default_rng(tmp_seed)
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        graph = build_ring(n)
-        m = rng.uniform(-2, 2, (n, n))
-        w = project_feasible(m, graph)
-        assert graph.off_support(w.w) is None
-        # optimality: nothing feasible is closer than the projection
-        mh = metropolis_hastings(graph).w
-        d_proj = np.sum((m - w.w) ** 2)
-        for t in (1.0, 0.5, 0.1):
-            cand = (1 - t) * w.w + t * mh
-            assert d_proj <= np.sum((m - cand) ** 2) + 1e-8
-
-
-def test_projection_is_idempotent():
-    rng = np.random.default_rng(15)
-    graph = build_ring(5)
-    w = project_feasible(rng.uniform(-1, 2, (5, 5)), graph).w
-    again = project_feasible(w, graph).w
-    np.testing.assert_allclose(again, w, atol=1e-7)
-
-
-def test_projection_shape_mismatch_and_cap(monkeypatch):
-    graph = build_ring(6)
-    with pytest.raises(ValueError):
-        project_feasible(np.zeros((4, 4)), graph)
-    monkeypatch.setattr(gme, "_PROJECTION_MAX_ITERS", 2)
-    with pytest.raises(ArithmeticError, match="converge"):
-        project_feasible(np.random.default_rng(0).uniform(-2, 2, (6, 6)), graph)
-
-
-def _draw_graph(draw, kind, n):
-    """A ring, complete, star or random connected graph of n nodes."""
-    if kind == "ring":
-        return build_ring(n)
-    if kind == "complete":
-        return build_complete(n)
-    if kind == "star":
-        return Topology(n, tuple((0, i) for i in range(1, n)))
-    return build_random_connected(n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
-
-
-@st.composite
-def _projection_inputs(draw, max_log_scale):
-    """(Z, graph, scale): Gaussian Z of a drawn scale on a ring, complete,
-    star or random connected graph of 2 to 24 nodes."""
-    kind = draw(st.sampled_from(["ring", "complete", "star", "random"]))
-    n = draw(st.integers(3 if kind == "ring" else 2, 24))
-    graph = _draw_graph(draw, kind, n)
-    scale = 10.0 ** draw(st.floats(-8.0, max_log_scale))
-    z = scale * np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((n, n))
-    return z, graph, scale
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_projection_inputs(max_log_scale=1.0))
-def test_projection_properties(case):
-    z, graph, scale = case
-    n = graph.n
-    support = graph.support_mask()
-    w = project_feasible(z, graph).w
-    assert graph.off_support(w) is None
-    residual = max(np.abs(w.sum(axis=0) - 1).max(), np.abs(w.sum(axis=1) - 1).max())
-    assert residual <= gme._PROJECTION_TOL
-    assert np.all(w[~support] == 0.0)
-    np.testing.assert_allclose(project_feasible(w, graph).w, w, rtol=0, atol=1e-9)
-    # the vertex maximizing <Z - P, V> over permutations inside the support
-    # is where the variational inequality <Z - P, V - P> <= 0 is tightest
-    rows, cols = linear_sum_assignment(np.where(support, w - z, np.inf))
-    assert support[rows, cols].all()
-    vertex = np.zeros((n, n))
-    vertex[rows, cols] = 1.0
-    assert np.sum((z - w) * (vertex - w)) <= 1e-9 * n * (1.0 + scale)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_projection_inputs(max_log_scale=8.0))
-def test_projection_succeeds_or_raises_arithmetic_error(case):
-    z, graph, _ = case
-    try:
-        w = project_feasible(z, graph).w
-    except ArithmeticError as exc:
-        assert "residual" in str(exc)
-        return
-    assert graph.off_support(w) is None
-
-
-def test_projection_stall_raises_quickly(monkeypatch):
-    """At scale 1.2e6 the rounding floor of the sums lies above
-    _PROJECTION_TOL; the projection gives up once its residual stops
-    falling instead of running out its 5000 iterations. It evaluates the
-    primal 91 times on this input; running out the cap would take over
-    5000 evaluations, and the bound leaves room for rounding to move the
-    count."""
-    graph = build_random_connected(21, 0.5, 5)
-    z = 1.2e6 * np.random.default_rng(5).standard_normal((21, 21))
-    calls = 0
-    primal = gme._primal
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return primal(*args)
-
-    monkeypatch.setattr(gme, "_primal", counting)
-    with pytest.raises(ArithmeticError, match="stalled at residual"):
-        project_feasible(z, graph)
-    assert calls <= 200
 
 
 def test_solver_params_validation():
@@ -350,9 +204,20 @@ def test_solver_drives_structured_instance_to_zero():
     rng = np.random.default_rng(20)
     gamma = gram(center_columns(_period3_gradients(rng)))
     graph = build_ring(6)
-    start = project_feasible(rng.uniform(0, 1, (6, 6)), graph)
+    start = _random_feasible(graph, rng)
     w = solve_gme(gamma, graph, init=start)
     assert gme_objective(gamma, w) <= 1e-6 * np.linalg.norm(gamma.gamma, 2)
+
+
+def _draw_graph(draw, kind, n):
+    """A ring, complete, star or random connected graph of n nodes."""
+    if kind == "ring":
+        return build_ring(n)
+    if kind == "complete":
+        return build_complete(n)
+    if kind == "star":
+        return Topology(n, tuple((0, i) for i in range(1, n)))
+    return build_random_connected(n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**16)))
 
 
 @st.composite
@@ -367,7 +232,7 @@ def _certify_inputs(draw):
     g = rng.standard_normal((draw(st.integers(1, 10)), graph.n))
     init = metropolis_hastings(graph)
     if draw(st.booleans()):
-        init = project_feasible(rng.uniform(0.0, 1.0, (graph.n, graph.n)), graph)
+        init = _random_feasible(graph, rng)
     return gram(center_columns(g)), graph, init
 
 
@@ -380,30 +245,26 @@ _RING3 = (gram(center_columns(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]]))),
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_certify_inputs(), st.floats(-8.0, 8.0))
-@example(_PAIR, 8.0)
-@example(_RING3, -8.0)
-def test_dual_gap_bounds_the_frank_wolfe_gap(case, log_c):
-    """Along projected-gradient steps on Gamma scaled by 1e-8 to 1e8, the
-    multiplier bound is nonnegative and at least the exact Frank-Wolfe gap,
-    from a minimum-cost assignment inside the support."""
+@given(_certify_inputs(), st.floats(-8.0, 8.0), st.integers(0, 2**32))
+@example(_PAIR, 8.0, 0)
+@example(_RING3, -8.0, 0)
+def test_dual_gap_bounds_the_frank_wolfe_gap(case, log_c, seed):
+    """On Gamma scaled by 1e-8 to 1e8, the gap from random potentials of
+    order lam_max, once _dual_gap adds the row and column minima, is at
+    least the exact Frank-Wolfe gap, from a minimum-cost assignment inside
+    the support, and so nonnegative."""
     gamma, graph, w = case
     gamma = GramMatrix(10.0**log_c * gamma.gamma)
-    n, support = graph.n, graph.support_mask()
-    step = 0.5 / gamma.lam_max
-    w = w.w
-    for _ in range(4):
-        z = w - step * 2.0 * gamma.gamma @ w
-        w, ab = gme._newton_projection(z, support)
-        grad = 2.0 * gamma.gamma @ w
-        gap = gme._dual_gap(grad, w, support, -ab / step)
-        rows, cols = linear_sum_assignment(np.where(support, grad, np.inf))
-        frank_wolfe = float((grad * w).sum() - grad[rows, cols].sum())
-        # W's sums are off by up to _PROJECTION_TOL, and the potentials
-        # are of order lam_max
-        slack = 1e-10 * n * gamma.lam_max
-        assert gap >= -slack
-        assert gap >= frank_wolfe - slack
+    n, support, w = graph.n, graph.support_mask(), w.w
+    grad = 2.0 * gamma.gamma @ w
+    uv = gamma.lam_max * np.random.default_rng(seed).standard_normal(2 * n)
+    gap = gme._dual_gap(grad, w, support, uv)
+    rows, cols = linear_sum_assignment(np.where(support, grad, np.inf))
+    frank_wolfe = float((grad * w).sum() - grad[rows, cols].sum())
+    # the potentials and the gradient are of order lam_max
+    slack = 1e-10 * n * gamma.lam_max
+    assert gap >= -slack
+    assert gap >= frank_wolfe - slack
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -467,7 +328,7 @@ def _solver_cases(draw):
     elif start == "identity":
         init = MixingMatrix(np.eye(n))
     else:
-        init = project_feasible(rng.uniform(0.0, 1.0, (n, n)), graph)
+        init = _random_feasible(graph, rng)
     return gram(center_columns(g)), graph, init
 
 
@@ -502,30 +363,11 @@ def test_certificate_floor_certifies_a_zero_optimum():
     rng = np.random.default_rng(20)
     gamma = gram(center_columns(_period3_gradients(rng)))
     graph = build_ring(6)
-    start = project_feasible(rng.uniform(0, 1, (6, 6)), graph)
+    start = _random_feasible(graph, rng)
     params = GmeSolverParams()
     w, gap = gme._certified_solve(gamma, graph, params, start)
     f = gme_objective(gamma, w)
     assert 0.0 <= gap <= f <= params.tol * gme_objective(gamma, start)
-
-
-def test_solver_runs_no_newton_projection(monkeypatch):
-    """On three random graphs of 16 nodes a solve returns its own iterate,
-    which stays feasible, so it runs no Newton projection."""
-    calls = 0
-    newton = gme._newton_projection
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return newton(*args)
-
-    monkeypatch.setattr(gme, "_newton_projection", counting)
-    for s in range(3):
-        problem = make_random_quadratics(16, 10, seed=s)
-        g = full_gradients(problem, np.random.default_rng(s).standard_normal((10, 16)))
-        ce_gme(g, build_random_connected(16, 0.5, s), SketchConfig(k=16, seed=s))
-    assert calls == 0
 
 
 # --- exact oracle ------------------------------------------------------
@@ -568,7 +410,7 @@ def test_oracle_rejects_a_large_support():
 def test_oracle_bounds_the_solver_and_random_feasible_points(graph, rank, seed):
     """On paths, a star and a 4-ring, with Gamma of rank 1 to n - 1, the
     oracle lies between a solve's certified lower bound f(W) - gap and
-    f(W), and below f(V) of projections V of random matrices."""
+    f(W), and below f(V) of random feasible draws V."""
     n = graph.n
     rng = np.random.default_rng(seed)
     gamma = gram(center_columns(rng.standard_normal((min(rank, n - 1), n))))
@@ -578,7 +420,7 @@ def test_oracle_bounds_the_solver_and_random_feasible_points(graph, rank, seed):
     f = gme_objective(gamma, w)
     assert f - gap - slack <= want <= f + slack
     for _ in range(3):
-        v = project_feasible(rng.uniform(0.0, 1.0, (n, n)), graph)
+        v = _random_feasible(graph, rng)
         assert want <= gme_objective(gamma, v) + slack
 
 

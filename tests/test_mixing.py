@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmix.gme import project_feasible
+from hetmix.checks import _random_feasible
 from hetmix.mixing import (
     MixingMatrix,
     compose,
@@ -224,7 +224,7 @@ def _loop_support_mask(topology):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_graphs(), st.integers(0, 2**16))
 def test_support_mask_and_off_support(graph, seed):
-    n, mask = graph.n, graph.support_mask()
+    mask = graph.support_mask()
     assert mask.dtype == bool
     assert np.array_equal(mask, _loop_support_mask(graph))
     assert graph.support_mask() is mask
@@ -232,7 +232,7 @@ def test_support_mask_and_off_support(graph, seed):
         mask[0, 0] = False
     rng = np.random.default_rng(seed)
     assert graph.off_support(metropolis_hastings(graph).w) is None
-    assert graph.off_support(project_feasible(rng.uniform(-1, 1, (n, n)), graph).w) is None
+    assert graph.off_support(_random_feasible(graph, rng).w) is None
     chords = np.argwhere(~mask)
     if not chords.size:
         return  # complete graph
@@ -274,7 +274,7 @@ def test_deviation_matches_dense_oracle():
     cases = []
     for _ in range(15):
         n = int(rng.integers(3, 10))
-        cases.append(project_feasible(rng.uniform(0, 1, (n, n)), build_ring(n)))
+        cases.append(_random_feasible(build_ring(n), rng))
     cases.append(_near_tie)
     for w in cases:
         assert abs(deviation_operator_norm(w) - _dense_deviation(w)) < 1e-7

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmix.mixing import MixingMatrix
+from hetmix.checks import _record
+from hetmix.mixing import MixingMatrix, metropolis_hastings
 from hetmix.objectives import (
     Problem,
     full_gradients,
@@ -14,9 +15,10 @@ from hetmix.objectives import (
     make_two_class_ring,
     permute_nodes,
     relative_zeta_sq_at,
-    stochastic_gradients,
     zeta_sq_at,
 )
+from hetmix.simulator import RunConfig
+from hetmix.topology import build_ring
 
 
 # --- oracles -----------------------------------------------------------
@@ -165,23 +167,28 @@ def test_full_gradients_columns_and_shape_check():
         full_gradients(p, x.T)
 
 
+def _step_gradients(p, steps, noise_seed):
+    """Each step's (X, G) as a dsgd run with Metropolis-Hastings weights on
+    a ring hands them to its matrices_for_step hook."""
+    mh = metropolis_hastings(build_ring(p.n)).w
+    cfg = RunConfig(steps=steps, lr=0.1 / p.smoothness, noise_seed=noise_seed)
+    return [(x, g) for x, g, _, _ in _record(p, build_ring(p.n), cfg, lambda t, x, g: (mh, mh))]
+
+
 def test_noiseless_stochastic_gradients_leave_the_rng_alone():
+    """A noiseless run adds nothing to its gradients: every step's G is the
+    exact gradient at its X, bit for bit."""
     p = make_random_quadratics(3, 4, seed=7, noise_std=0.0)
-    x = np.zeros((4, 3))
-    rng = np.random.default_rng(0)
-    g = stochastic_gradients(p, x, rng)
-    np.testing.assert_array_equal(g, full_gradients(p, x))
-    # the stream was not consumed
-    assert rng.normal() == np.random.default_rng(0).normal()
+    for x, g in _step_gradients(p, 150, noise_seed=0):
+        np.testing.assert_array_equal(g, full_gradients(p, x))
 
 
 def test_noise_variance_is_what_the_factory_was_given():
+    """The noise a run adds to each step's exact gradients, over 1000 steps
+    of a 10-by-10 problem, has the variance the factory was given."""
     p = make_random_quadratics(10, 10, seed=8, noise_std=np.sqrt(0.1))
-    x = np.zeros((10, 10))
-    base = full_gradients(p, x)
-    rng = np.random.default_rng(88)
     draws = np.concatenate(
-        [(stochastic_gradients(p, x, rng) - base).ravel() for _ in range(1000)]
+        [(g - full_gradients(p, x)).ravel() for x, g in _step_gradients(p, 1000, noise_seed=88)]
     )
     assert draws.var() == pytest.approx(0.1, abs=0.005)
     assert abs(draws.mean()) < 0.005

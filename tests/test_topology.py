@@ -1,10 +1,15 @@
-"""Graph constructors, validation, and the edge-list file format."""
+"""Graph constructors, validation, the edge-list file format, and the
+random feasible matrices the checks draw on those graphs."""
 
 from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hetmix.checks import _random_feasible, _random_permutation
+from hetmix.mixing import MixingMatrix
 from hetmix.topology import (
     Topology,
     build_complete,
@@ -149,6 +154,51 @@ def test_support_mask():
     assert np.array_equal(mask, mask.T)
     assert mask.diagonal().all()
     assert mask[0, 1] and not mask[0, 2]
+
+
+# --- generated graphs and the checks' feasible draws -------------------
+
+@st.composite
+def _graphs(draw):
+    """A ring, torus, complete graph, star or random connected graph of 2
+    to 24 nodes (rings from 3, tori from 3 by 3)."""
+    kind = draw(st.sampled_from(["ring", "torus", "complete", "star", "random"]))
+    if kind == "torus":
+        return build_torus(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
+    n = draw(st.integers(3 if kind == "ring" else 2, 24))
+    if kind == "ring":
+        return build_ring(n)
+    if kind == "complete":
+        return build_complete(n)
+    if kind == "star":
+        return Topology(n, tuple((0, i) for i in range(1, n)))
+    return build_random_connected(n, draw(st.floats(0.01, 1.0)), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_graphs())
+@example(build_complete(2))
+def test_generated_graphs_are_connected_and_canonical(graph):
+    assert all(0 <= i < j < graph.n for i, j in graph.edges)
+    assert list(graph.edges) == sorted(set(graph.edges))
+    assert _connected_union_find(graph.n, graph.edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_graphs(), st.integers(0, 2**32))
+@example(build_complete(2), 0)
+def test_random_feasible_draws_mix_permutations_along_edges(graph, seed):
+    """Each permutation sends every node to itself or to a neighbour, so a
+    draw mixing them constructs a MixingMatrix with no weight off the graph."""
+    rng = np.random.default_rng(seed)
+    edges = set(graph.edges)
+    perm = _random_permutation(graph, rng)
+    assert sorted(perm.tolist()) == list(range(graph.n))
+    for i, j in enumerate(perm.tolist()):
+        assert i == j or (min(i, j), max(i, j)) in edges
+    w = _random_feasible(graph, rng)
+    assert isinstance(w, MixingMatrix)
+    assert graph.off_support(w.w) is None
 
 
 # --- file format -------------------------------------------------------
