@@ -66,14 +66,16 @@ class GmeSolverParams:
     A solve stops once its objective is provably within tol * f(init) of
     the optimum (see solve_gme), or after max_iters iterations. The 150
     refresh solves of the reference adaptive run take 7 to 8 Newton steps
-    at the default 1e-5, and at most 11 at 1e-8. Their Gamma has rank 10,
+    at the default 1e-5, and at most 11 at 1e-8; no solve of the tests or
+    checks at the default needs more than 10, so the default cap of 100
+    binds only a solve that has stopped converging. Their Gamma has rank 10,
     below n - 1 = 15, so the minimizer is not unique and the run's tail
     metrics move with tol: from a run at 1e-8, by 2.9e-5 at 1e-6, 8.7e-5
     at 1e-5 and 1.9e-4 at 1e-4, where the Frank-Wolfe gap reaches 2.3e-4
     of f(W).
     """
 
-    max_iters: int = 2000
+    max_iters: int = 100
     tol: float = 1e-5
 
     def __post_init__(self) -> None:

@@ -1,14 +1,17 @@
 """Synthetic distributed least-squares objectives.
 
 Node i holds f_i(x) = ||A_i x + b_i||^2 on a shared parameter x in R^d;
-the global objective is the average f = (1/n) sum_i f_i. Gradients are
-2 A_i^T (A_i x + b_i), so f_i is L_i-smooth with L_i twice the top
-eigenvalue of A_i^T A_i.
+the global objective is the average f = (1/n) sum_i f_i. Each f_i is
+quadratic, so its gradient is H_i x + c_i with H_i = 2 A_i^T A_i and
+c_i = 2 A_i^T b_i, and f(x) = f(x*) + (x - x*)^T Q (x - x*) with
+Q = (1/n) sum_i A_i^T A_i. Problem caches H_i, c_i, Q and f(x*) once, and
+the gradients and the loss are computed from them. f_i is L_i-smooth with
+L_i twice the top eigenvalue of A_i^T A_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -32,28 +35,61 @@ TWO_CLASS_NOISE_STD = sqrt(0.001)
 
 @dataclass(frozen=True)
 class Problem:
-    """Node data stacked as read-only arrays, with a cached optimum and smoothness bound.
+    """Node data stacked as read-only arrays, with the optimum, the
+    smoothness bound and the quadratic's products cached.
 
     Node i holds a[i] of shape (m, d) and b[i] of shape (m,). noise_std is
     the per-entry standard deviation of the additive gradient noise that
-    the simulator's step loop draws.
+    the simulator's step loop draws, and must be finite and nonnegative.
+    x_star and smoothness are solved from the data unless given, as
+    permute_nodes gives them to keep their bits; a given x_star must be
+    the optimum, because the loss is measured from it.
+
+    From A^T A, computed once, the problem caches hess = 2 A_i^T A_i of
+    shape (n, d, d), lin = 2 A_i^T b_i of shape (n, d), q = Q of shape
+    (d, d) and loss_star = f(x*), the last in the residual form.
     """
 
     a: np.ndarray  # (n, m, d)
     b: np.ndarray  # (n, m)
     noise_std: float
-    x_star: np.ndarray
-    smoothness: float
+    x_star: np.ndarray | None = None
+    smoothness: float | None = None
+    hess: np.ndarray = field(init=False, repr=False, compare=False)
+    lin: np.ndarray = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    loss_star: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         if a.ndim != 3 or b.shape != a.shape[:2]:
             raise ValueError(f"incompatible shapes A {a.shape}, b {b.shape}")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
+        ata = a.transpose(0, 2, 1) @ a
+        atb = (a.transpose(0, 2, 1) @ b[:, :, None])[..., 0]
+        # Python sum adds node by node; ndarray.sum may pair terms differently,
+        # which moves the last bits of the optimum
+        h = sum(ata)
+        x_star = _solve_optimum(h, sum(-atb)) if self.x_star is None else self.x_star
+        x_star = np.array(x_star, dtype=float)
+        smoothness = self.smoothness
+        if smoothness is None:
+            smoothness = 2.0 * max(top_eigenvalue(h_i) for h_i in ata)
+        r = a @ x_star + b
+        # per-node values summed in node order
+        loss_star = sum((r[:, None, :] @ r[:, :, None]).ravel().tolist()) / a.shape[0]
+        cached = dict(a=a, b=b, x_star=x_star, hess=2.0 * ata, lin=2.0 * atb, q=h / a.shape[0])
+        for name, value in cached.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "noise_std", float(self.noise_std))
+        object.__setattr__(self, "smoothness", float(smoothness))
+        object.__setattr__(self, "loss_star", loss_star)
+        grad = full_gradients(self, np.tile(x_star[:, None], (1, self.n))).mean(axis=1)
+        if np.linalg.norm(grad) > 1e-8 * (1.0 + np.linalg.norm(x_star)):
+            raise ArithmeticError("optimum is not stationary")
 
     @property
     def n(self) -> int:
@@ -64,25 +100,22 @@ class Problem:
         return self.a.shape[2]
 
     def loss(self, x: np.ndarray) -> float | np.ndarray:
-        """Average objective at a point x of shape (d,), or at each row of a (T, d) stack."""
+        """Average objective at a point x of shape (d,), or at each row of a (T, d) stack.
+
+        f(x*) + v^T Q v with v = x - x*: both terms are nonnegative, so
+        nothing cancels, and each row of a stack gets the bits of a call
+        at that row alone. Forming Q squares A's condition, so the result
+        rounds on the scale of ||Q|| ||v||^2, which exceeds f(x) only where
+        v lies near Q's null space.
+        """
         x = np.asarray(x, dtype=float)
-        r = (self.a[:, None] @ np.atleast_2d(x)[:, :, None])[..., 0] + self.b[:, None]
-        # per-node values summed in node order, for reproducible bits
-        total = sum((r[..., None, :] @ r[..., :, None])[..., 0, 0]) / self.n
+        v = np.atleast_2d(x) - self.x_star
+        total = self.loss_star + ((v[:, None, :] @ self.q)[:, 0] * v).sum(axis=1)
         return float(total[0]) if x.ndim == 1 else total
 
 
-def _hessians(a: np.ndarray) -> np.ndarray:
-    """Per-node A_i^T A_i, shape (n, d, d)."""
-    return a.transpose(0, 2, 1) @ a
-
-
-def _solve_optimum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense symmetric solve of sum A^T A x = -sum A^T b, with a residual check."""
-    # Python sum adds node by node; ndarray.sum may pair terms differently,
-    # which moves the last bits of the optimum
-    h = sum(_hessians(a))
-    rhs = sum(-(a.transpose(0, 2, 1) @ b[:, :, None])[..., 0])
+def _solve_optimum(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Dense symmetric solve of h x = rhs, h = sum A^T A, with a residual check."""
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
@@ -100,19 +133,6 @@ def _draw_nodes(rng: np.random.Generator, count: int, m: int, d: int):
     return np.stack([a for a, _ in draws]), np.stack([b for _, b in draws])
 
 
-def _build(a: np.ndarray, b: np.ndarray, noise_std: float) -> Problem:
-    if not 0.0 <= noise_std < np.inf:
-        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
-    x_star = _solve_optimum(a, b)
-    smooth = 2.0 * max(top_eigenvalue(h) for h in _hessians(a))
-    x_star.flags.writeable = False
-    problem = Problem(a, b, float(noise_std), x_star, float(smooth))
-    grad = full_gradients(problem, np.tile(x_star[:, None], (1, problem.n))).mean(axis=1)
-    if np.linalg.norm(grad) > 1e-8 * (1.0 + np.linalg.norm(x_star)):
-        raise ArithmeticError("cached optimum is not stationary")
-    return problem
-
-
 def make_random_quadratics(
     n: int, d: int, m: int | None = None, seed: int = 0, noise_std: float = 0.0
 ) -> Problem:
@@ -126,7 +146,7 @@ def make_random_quadratics(
     if n * m < d:
         raise ValueError(f"need n*m >= d for a unique optimum, got {n}*{m} < {d}")
     a, b = _draw_nodes(np.random.default_rng(seed), n, m, d)
-    return _build(a, b, noise_std)
+    return Problem(a, b, noise_std)
 
 
 def make_two_class_ring(
@@ -142,7 +162,7 @@ def make_two_class_ring(
     a = rng.standard_normal((d, d))
     shift = a @ np.ones(d)
     shifts = [-shift if i % 2 == 0 else shift for i in range(TWO_CLASS_NODES)]
-    return _build(np.stack([a] * TWO_CLASS_NODES), np.stack(shifts), noise_std)
+    return Problem(np.stack([a] * TWO_CLASS_NODES), np.stack(shifts), noise_std)
 
 
 def make_replicated(
@@ -156,7 +176,7 @@ def make_replicated(
         m = d
     a, b = _draw_nodes(np.random.default_rng(seed), period, m, d)
     repeat = np.arange(n) % period
-    return _build(a[repeat], b[repeat], noise_std)
+    return Problem(a[repeat], b[repeat], noise_std)
 
 
 def permute_nodes(problem: Problem, perm) -> Problem:
@@ -174,28 +194,28 @@ def permute_nodes(problem: Problem, perm) -> Problem:
 
 
 def full_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Column i is node i's exact gradient at column i of the d-by-n matrix x.
+    """Column i is node i's exact gradient H_i x_i + c_i at column i of the d-by-n matrix x.
 
-    One batched matmul gives the same bits as a loop over nodes, and the
-    result takes the memory layout of x, as that loop's would: the layout
-    decides how later products and column means round.
+    The result takes the memory layout of x, as the step loop's gradients
+    take its X's, so a noiseless step loop's G equals this at its X, bit
+    for bit: the layout decides how later products and column means round.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d, problem.n):
         raise ValueError(f"expected shape {(problem.d, problem.n)}, got {x.shape}")
-    return _node_gradients(problem.a, problem.b, x, np.empty_like(x))
+    return _node_gradients(problem.hess, problem.lin.T, x, np.empty_like(x))
 
 
-def _node_gradients(a, b, x, out) -> np.ndarray:
-    """out[..., :, i] = 2 A_i^T (A_i x[..., :, i] + b_i), for a of shape
-    (..., n, m, d), b (..., n, m) and x (..., d, n); returns out.
+def _node_gradients(hess, offset, x, out) -> np.ndarray:
+    """out[..., :, i] = hess[..., i, :, :] @ x[..., :, i] + offset[..., :, i],
+    for hess of shape (..., n, d, d) and offset, x and out (..., d, n); returns out.
 
-    Every leading index runs the same per-node products, so a stack of
-    problems gets the bits that full_gradients gives each of them.
+    One batched product and one add. Every leading index runs the same
+    per-node products, so a stack of problems gets the bits that
+    full_gradients gives each of them.
     """
-    r = a @ x.swapaxes(-1, -2)[..., None] + b[..., None]
-    out[...] = 2.0 * (a.swapaxes(-1, -2) @ r)[..., 0].swapaxes(-1, -2)
-    return out
+    np.matmul(hess, x.swapaxes(-1, -2)[..., None], out=out.swapaxes(-1, -2)[..., None])
+    return np.add(out, offset, out=out)
 
 
 def _common_point_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ One step loop runs any number of runs, such as the repetitions of a
 config, side by side along a leading repetition axis (see _simulate);
 each run keeps the bits it gets alone.
 
-The step loop makes no metric reduction: it buffers each step's X, G and
-G Wg, and the five metrics of every _CHUNK steps are computed together,
-run by run, with batched reductions that keep the bits of their per-step
-forms.
+Each step makes one gradient product, G = H X + (noise + c) on the
+problems' cached Hessians (see objectives), and writes X, G and G Wg
+into fresh per-chunk buffers without copying them. The step loop makes
+no metric reduction: the five metrics of every _CHUNK steps are computed
+together, for all runs at once, with batched reductions that keep the
+bits of their per-step forms.
 """
 
 from __future__ import annotations
@@ -125,23 +127,32 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     return (csum[t + 1] - csum[lo]) / (t - lo + 1)
 
 
-def _chunk_metrics(problem: Problem, x, g, gw, cols: dict, lo: int) -> None:
-    """Fill cols[lo:lo + T] from T buffered steps: states x, gradients g, and g @ Wg.
+def _chunk_metrics(problems, rows: list, x, g, gw, cols: dict, lo: int) -> None:
+    """Fill cols[name][rows, lo:lo + T] from T buffered steps of the runs
+    problems[r] for r in rows: states x, gradients g and g @ Wg of shape
+    (R, T, d, n).
 
-    Each line is the per-step formula with a leading step axis, reducing
-    along the same axis in the same order, so the values keep their bits.
+    Each line is the per-step formula with leading run and step axes,
+    reducing along the same axis in the same order, so the values keep
+    their bits. The loss is problem.loss at each run's means.
     """
-    steps, _, n = x.shape
+    runs, steps, _, n = x.shape
     hi = lo + steps
-    mean = x.mean(axis=2, keepdims=True)
-    dev = x - problem.x_star[:, None]
-    v = mean[:, :, 0] - problem.x_star
-    cols["dist_to_opt"][lo:hi] = np.linalg.norm(dev, axis=1).mean(axis=1)
-    cols["dist_to_opt_mean"][lo:hi] = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    cols["consensus"][lo:hi] = np.sum(((x - mean) ** 2).reshape(steps, -1), axis=1) / n
-    gap = gw - g.mean(axis=2, keepdims=True)
-    cols["gme"][lo:hi] = np.sum((gap**2).reshape(steps, -1), axis=1)
-    cols["loss"][lo:hi] = problem.loss(mean[:, :, 0])
+    x_star = np.stack([problems[r].x_star for r in rows])
+    mean = x.mean(axis=3, keepdims=True)
+    dev = x - x_star[:, None, :, None]
+    v = mean[..., 0] - x_star[:, None]
+    # np.linalg.norm's own sum of squares, in place
+    dist = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=2))
+    cols["dist_to_opt"][rows, lo:hi] = dist.mean(axis=2)
+    cols["dist_to_opt_mean"][rows, lo:hi] = np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+    np.subtract(x, mean, out=dev)
+    cols["consensus"][rows, lo:hi] = np.sum(np.square(dev, out=dev).reshape(runs, steps, -1),
+                                            axis=2) / n
+    gap = np.subtract(gw, g.mean(axis=3, keepdims=True), out=dev)
+    cols["gme"][rows, lo:hi] = np.sum(np.square(gap, out=gap).reshape(runs, steps, -1), axis=2)
+    for i, r in enumerate(rows):
+        cols["loss"][r, lo:hi] = problems[r].loss(mean[i, :, :, 0])
 
 
 def _simulate(runs: list) -> list:
@@ -151,20 +162,26 @@ def _simulate(runs: list) -> list:
     problems share their shapes and whose configs share cfg.steps. Their
     states stack along a leading repetition axis, X of shape (R, d, n), and
     every step advances all of them at once:
-    - G is one stacked gradient product at X, plus the step's noise in the
-      runs whose problem.noise_std is not 0. A noisy run draws the noise of
-      _CHUNK steps at a time, as (T, d, n), which gives the bits of T draws
-      of (d, n);
-    - each run's hook is called as matrices_for_step(t, X[r], G[r]), and
-      the (Wp, Wg) it returns are copied into (R, n, n) stacks. X and G are
-      fresh for every step and nothing writes them afterwards, so a hook
-      may keep its views to record the run;
-    - G Wg (for the gme metric and the update), the update and the
-      divergence test are one stacked operation each.
-    Each step's X, G and G Wg go into buffers of _CHUNK steps, which
-    _chunk_metrics reduces run by run every _CHUNK steps and after the last
-    step. The stacked products run the same per-matrix operations as one
-    run alone, so a run's metrics do not depend on the runs beside it.
+    - G = H X + (noise + c), one stacked product of the problems' cached
+      Hessians and one add. Every _CHUNK steps a run fills its rows of an
+      offset buffer with its noise for those steps plus its gradients'
+      constant term c, or with c alone if problem.noise_std is 0. A noisy
+      run draws the noise of the chunk at once, as (T, d, n), which gives
+      the bits of T draws of (d, n);
+    - each run's hook is called as matrices_for_step(t, X[r], G[r]). Each
+      chunk's X, G and G Wg buffers are fresh, each step writes its own
+      slot of them, and nothing writes a slot again, so a hook may keep its
+      views to record the run. A hook must never write a matrix it has
+      returned: the (Wp, Wg) it returns are copied into (R, n, n) stacks
+      only when they are other objects than it returned at the step
+      before;
+    - G Wg (for the gme metric and the update) and the update are one
+      stacked product each, written into their next buffer slots, and the
+      divergence test is one pass over the new X.
+    _chunk_metrics reduces the buffers of all live runs every _CHUNK steps
+    and after the last step. The stacked products run the same per-matrix
+    operations as one run alone, so a run's metrics do not depend on the
+    runs beside it.
 
     A run's outcome is its MetricsLog, or the exception that stopped it: a
     DivergenceError, or an ArithmeticError from its hook. A stopped run
@@ -188,38 +205,48 @@ def _simulate(runs: list) -> list:
     outcomes: list = [None] * len(runs)
     live = list(range(len(runs)))  # the run in each row of the stacks
     rngs = [np.random.default_rng(cfg.noise_seed) for cfg in cfgs]
-    cols = [{name: np.empty(steps) for name in
-             ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")} for _ in runs]
-    a = np.stack([problem.a for problem in problems])
-    b = np.stack([problem.b for problem in problems])
+    cols = {name: np.empty((len(runs), steps)) for name in
+            ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")}
+    hess = np.stack([problem.hess for problem in problems])
     lr = np.array([cfg.lr for cfg in cfgs])[:, None, None]
-    noisy = np.array([problem.noise_std > 0.0 for problem in problems])
     size = min(_CHUNK, steps)
-    xs, gs, gws, noise = (np.zeros((len(runs), size, d, n)) for _ in range(4))
+    offset = np.empty((len(runs), size, d, n))
+    offset[:] = np.stack([problem.lin.T for problem in problems])[:, None]
     wps, wgs = np.empty((len(runs), n, n)), np.empty((len(runs), n, n))
-    x = np.zeros((len(runs), d, n))
+    scratch = np.empty((len(runs), d, n))
+    last = [(None, None)] * len(runs)  # each row's (Wp, Wg) objects in wps and wgs
+    xs = np.zeros((len(runs), size, d, n))
     for t in range(steps):
         k = t % size
         if k == 0:
             span = min(size, steps - t)
+            gs, gws = np.empty_like(xs), np.empty_like(xs)
             for i, r in enumerate(live):
-                if noisy[i]:
-                    noise[i, :span] = rngs[r].normal(0.0, problems[r].noise_std, (span, d, n))
-        g = _node_gradients(a, b, x, np.empty_like(x))
-        np.add(g, noise[:, k], out=g, where=noisy[:, None, None])
+                if problems[r].noise_std > 0.0:
+                    noise = rngs[r].normal(0.0, problems[r].noise_std, (span, d, n))
+                    np.add(noise, problems[r].lin.T, out=offset[i, :span])
+        x = xs[:, k]
+        g = _node_gradients(hess, offset[:, k], x, gs[:, k])
         failed = {}
         for i, r in enumerate(live):
             try:
-                wps[i], wgs[i] = hooks[r](t, x[i], g[i])
+                wp, wg = hooks[r](t, x[i], g[i])
             except ArithmeticError as exc:
                 failed[i] = exc
-                wps[i] = wgs[i] = 0.0  # keeps its row finite until it leaves below
-        xs[:, k] = x
-        gs[:, k] = g
+                continue
+            if wp is not last[i][0]:
+                wps[i] = wp
+            if wg is not last[i][1]:
+                wgs[i] = wg
+            last[i] = wp, wg
+        for i in failed:
+            wps[i] = wgs[i] = 0.0  # keeps its row finite until it leaves below
         gw = np.matmul(g, wgs, out=gws[:, k])
-        x = x @ wps - lr * gw
-        if not np.abs(x).max() <= _DIVERGE_LIMIT:
-            big = np.abs(x).max(axis=(1, 2))
+        following = xs if k + 1 < size else np.empty_like(xs)
+        nxt = np.matmul(x, wps, out=following[:, (k + 1) % size])
+        nxt -= np.multiply(lr, gw, out=scratch)
+        if not np.abs(nxt, out=scratch).max() <= _DIVERGE_LIMIT:
+            big = np.abs(nxt).max(axis=(1, 2))
             for i in np.flatnonzero(~(big <= _DIVERGE_LIMIT)).tolist():
                 failed.setdefault(i, DivergenceError(t, f"|X| reached {big[i]:.3e}"))
         if failed:
@@ -227,21 +254,25 @@ def _simulate(runs: list) -> list:
                 outcomes[live[i]] = exc
             keep = [i for i in range(len(live)) if i not in failed]
             live = [live[i] for i in keep]
+            last = [last[i] for i in keep]
             if not live:
                 break
-            a, b, lr, noisy, xs, gs, gws, noise, wps, wgs, x = (
-                v[keep] for v in (a, b, lr, noisy, xs, gs, gws, noise, wps, wgs, x))
+            in_chunk = following is xs
+            hess, lr, xs, gs, gws, offset, wps, wgs, scratch, following = (
+                v[keep] for v in (hess, lr, xs, gs, gws, offset, wps, wgs, scratch, following))
+            if in_chunk:
+                following = xs
         if k == size - 1 or t == steps - 1:
-            for i, r in enumerate(live):
-                _chunk_metrics(problems[r], xs[i, :k + 1], gs[i, :k + 1], gws[i, :k + 1],
-                               cols[r], t - k)
+            _chunk_metrics(problems, live, xs[:, :k + 1], gs[:, :k + 1], gws[:, :k + 1],
+                           cols, t - k)
+        xs = following
     for r in live:
         outcomes[r] = MetricsLog(
             step=np.arange(steps),
-            **cols[r],
-            dist_to_opt_w=_trailing_mean(cols[r]["dist_to_opt"], cfgs[r].window),
-            consensus_w=_trailing_mean(cols[r]["consensus"], cfgs[r].window),
-            gme_w=_trailing_mean(cols[r]["gme"], cfgs[r].window),
+            **{name: col[r] for name, col in cols.items()},
+            dist_to_opt_w=_trailing_mean(cols["dist_to_opt"][r], cfgs[r].window),
+            consensus_w=_trailing_mean(cols["consensus"][r], cfgs[r].window),
+            gme_w=_trailing_mean(cols["gme"][r], cfgs[r].window),
         )
     return outcomes
 

@@ -53,13 +53,18 @@ def _write(tmp_path, text, fname="exp.cfg"):
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _reference_adaptive(out, **changes):
-    """configs/random16_adaptive.conf with out and the given keys replaced."""
-    text = (_ROOT / "configs" / "random16_adaptive.conf").read_text()
+def _reference(conf, out, **changes):
+    """configs/<conf> with out and the given keys replaced."""
+    text = (_ROOT / "configs" / conf).read_text()
     for key, value in dict(out=out, **changes).items():
         text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
         assert count == 1, key
     return text
+
+
+def _reference_adaptive(out, **changes):
+    """configs/random16_adaptive.conf with out and the given keys replaced."""
+    return _reference("random16_adaptive.conf", out, **changes)
 
 
 # --- parsing -----------------------------------------------------------
@@ -341,6 +346,22 @@ def test_run_matches_golden_adaptive_csv(tmp_path):
         np.loadtxt(got[1:], delimiter=","), np.loadtxt(want[1:], delimiter=","),
         rtol=1e-6, atol=0.0,
     )
+
+
+def test_run_matches_golden_baseline_csvs(tmp_path):
+    """The reference baseline config at 3 reps and 400 steps, against the
+    CSVs written before the step loop moved onto the cached Hessians; the
+    simulator's arithmetic may move them only by rounding, within rtol 1e-9."""
+    text = _reference("random16_baseline.conf", tmp_path / "b", steps=400, reps=3)
+    assert cmd_run(_write(tmp_path, text)) == 0
+    for rep in range(3):
+        got = (tmp_path / "b" / f"baseline_rep{rep}.csv").read_text().splitlines()
+        want = (_ROOT / "tests" / "data" / f"baseline16_rep{rep}.csv").read_text().splitlines()
+        assert got[0] == want[0] and len(got) == len(want) == 401
+        np.testing.assert_allclose(
+            np.loadtxt(got[1:], delimiter=","), np.loadtxt(want[1:], delimiter=","),
+            rtol=1e-9, atol=0.0,
+        )
 
 
 def test_run_with_edge_file_topology(tmp_path):

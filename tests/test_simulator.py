@@ -243,6 +243,26 @@ def test_the_hook_inputs_are_never_written_after_the_call(algorithm):
         assert np.array_equal(x, x0) and np.array_equal(grads, g0)
 
 
+def test_hooks_may_return_fresh_or_alternating_matrices():
+    """The loop copies a hook's (Wp, Wg) only when they are other objects
+    than it returned at the step before. A dsgd hook that returns fresh
+    copies at every step logs the bits of _fixed, and a hadsgd run, whose
+    hook alternates the refreshed W and MH, mixes with each step's own
+    matrices."""
+    p = make_random_quadratics(6, 4, seed=57, noise_std=0.3)
+    g = build_random_connected(6, 0.6, seed=5)
+    mh = metropolis_hastings(g).w
+    cfg = RunConfig(steps=2 * _CHUNK + 3, lr=0.2 / p.smoothness, noise_seed=8)
+    fixed = _simulate_one((p, g, cfg, _fixed(mh, mh)))
+    fresh = _simulate_one((p, g, cfg, lambda t, x, grads: (mh.copy(), mh.copy())))
+    assert _logs_equal(fixed, fresh)
+    hcfg = replace(cfg, algorithm="hadsgd", period=10, sketch_dim=8)
+    rec = _record(p, g, hcfg, _refreshed(g, hcfg, _SHALLOW))
+    for t, ((x0, grads, wp, wg), (x1, *_)) in enumerate(zip(rec, rec[1:])):
+        assert np.array_equal(wp, mh) == np.array_equal(wg, mh) == (t % 2 == 1)
+        np.testing.assert_array_equal(x1, x0 @ wp - hcfg.lr * (grads @ wg))
+
+
 # --- failure modes and config validation ------------------------------
 
 def test_divergence_raises_with_step():
