@@ -3,10 +3,12 @@
 Node i holds f_i(x) = ||A_i x + b_i||^2 on a shared parameter x in R^d;
 the global objective is the average f = (1/n) sum_i f_i. Each f_i is
 quadratic, so its gradient is H_i x + c_i with H_i = 2 A_i^T A_i and
-c_i = 2 A_i^T b_i, and f(x) = f(x*) + (x - x*)^T Q (x - x*) with
-Q = (1/n) sum_i A_i^T A_i. Problem caches H_i, c_i, Q and f(x*) once, and
-the gradients and the loss are computed from them. f_i is L_i-smooth with
-L_i twice the top eigenvalue of A_i^T A_i.
+c_i = 2 A_i^T b_i; Problem caches H_i and c_i once, and the gradients are
+computed from them. The loss stays in the residual form, one product of
+the nodes' stacked rows per point: a form measured from x* would carry
+x*'s own rounding, and through Q = (1/n) sum_i A_i^T A_i A's condition
+squared. f_i is L_i-smooth with L_i twice the top eigenvalue of
+A_i^T A_i.
 """
 
 from __future__ import annotations
@@ -36,18 +38,17 @@ TWO_CLASS_NOISE_STD = sqrt(0.001)
 @dataclass(frozen=True)
 class Problem:
     """Node data stacked as read-only arrays, with the optimum, the
-    smoothness bound and the quadratic's products cached.
+    smoothness bound and the node Hessians cached.
 
     Node i holds a[i] of shape (m, d) and b[i] of shape (m,). noise_std is
     the per-entry standard deviation of the additive gradient noise that
     the simulator's step loop draws, and must be finite and nonnegative.
     x_star and smoothness are solved from the data unless given, as
     permute_nodes gives them to keep their bits; a given x_star must be
-    the optimum, because the loss is measured from it.
+    the optimum, because the metrics measure distances from it.
 
     From A^T A, computed once, the problem caches hess = 2 A_i^T A_i of
-    shape (n, d, d), lin = 2 A_i^T b_i of shape (n, d), q = Q of shape
-    (d, d) and loss_star = f(x*), the last in the residual form.
+    shape (n, d, d) and lin = 2 A_i^T b_i of shape (n, d).
     """
 
     a: np.ndarray  # (n, m, d)
@@ -57,8 +58,6 @@ class Problem:
     smoothness: float | None = None
     hess: np.ndarray = field(init=False, repr=False, compare=False)
     lin: np.ndarray = field(init=False, repr=False, compare=False)
-    q: np.ndarray = field(init=False, repr=False, compare=False)
-    loss_star: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=float)
@@ -77,16 +76,12 @@ class Problem:
         smoothness = self.smoothness
         if smoothness is None:
             smoothness = 2.0 * max(top_eigenvalue(h_i) for h_i in ata)
-        r = a @ x_star + b
-        # per-node values summed in node order
-        loss_star = sum((r[:, None, :] @ r[:, :, None]).ravel().tolist()) / a.shape[0]
-        cached = dict(a=a, b=b, x_star=x_star, hess=2.0 * ata, lin=2.0 * atb, q=h / a.shape[0])
+        cached = dict(a=a, b=b, x_star=x_star, hess=2.0 * ata, lin=2.0 * atb)
         for name, value in cached.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "noise_std", float(self.noise_std))
         object.__setattr__(self, "smoothness", float(smoothness))
-        object.__setattr__(self, "loss_star", loss_star)
         grad = full_gradients(self, np.tile(x_star[:, None], (1, self.n))).mean(axis=1)
         if np.linalg.norm(grad) > 1e-8 * (1.0 + np.linalg.norm(x_star)):
             raise ArithmeticError("optimum is not stationary")
@@ -102,15 +97,14 @@ class Problem:
     def loss(self, x: np.ndarray) -> float | np.ndarray:
         """Average objective at a point x of shape (d,), or at each row of a (T, d) stack.
 
-        f(x*) + v^T Q v with v = x - x*: both terms are nonnegative, so
-        nothing cancels, and each row of a stack gets the bits of a call
-        at that row alone. Forming Q squares A's condition, so the result
-        rounds on the scale of ||Q|| ||v||^2, which exceeds f(x) only where
-        v lies near Q's null space.
+        (1/n) sum_i ||A_i x + b_i||^2 as one product of the (n m, d) stacked
+        rows per point, so each row of a stack gets the bits of a call at
+        that row alone.
         """
         x = np.asarray(x, dtype=float)
-        v = np.atleast_2d(x) - self.x_star
-        total = self.loss_star + ((v[:, None, :] @ self.q)[:, 0] * v).sum(axis=1)
+        rows = self.a.reshape(-1, self.d)
+        r = (np.atleast_2d(x)[:, None, :] @ rows.T)[:, 0] + self.b.ravel()
+        total = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / self.n
         return float(total[0]) if x.ndim == 1 else total
 
 

@@ -171,10 +171,11 @@ def _simulate(runs: list) -> list:
     - each run's hook is called as matrices_for_step(t, X[r], G[r]). Each
       chunk's X, G and G Wg buffers are fresh, each step writes its own
       slot of them, and nothing writes a slot again, so a hook may keep its
-      views to record the run. A hook must never write a matrix it has
-      returned: the (Wp, Wg) it returns are copied into (R, n, n) stacks
-      only when they are other objects than it returned at the step
-      before;
+      views to record the run. X's buffer has a slot more, which takes the
+      chunk's last update and is copied into the next chunk's first slot.
+      A hook must never write a matrix it has returned: the (Wp, Wg) it
+      returns are copied into (R, n, n) stacks only when they are other
+      objects than it returned at the step before;
     - G Wg (for the gme metric and the update) and the update are one
       stacked product each, written into their next buffer slots, and the
       divergence test is one pass over the new X.
@@ -215,12 +216,15 @@ def _simulate(runs: list) -> list:
     wps, wgs = np.empty((len(runs), n, n)), np.empty((len(runs), n, n))
     scratch = np.empty((len(runs), d, n))
     last = [(None, None)] * len(runs)  # each row's (Wp, Wg) objects in wps and wgs
-    xs = np.zeros((len(runs), size, d, n))
+    xs = np.zeros((len(runs), size + 1, d, n))  # slot k + 1 takes step k's update
     for t in range(steps):
         k = t % size
         if k == 0:
             span = min(size, steps - t)
-            gs, gws = np.empty_like(xs), np.empty_like(xs)
+            if t:
+                carried, xs = xs[:, size], np.empty_like(xs)
+                xs[:, 0] = carried
+            gs, gws = np.empty_like(xs[:, 1:]), np.empty_like(xs[:, 1:])
             for i, r in enumerate(live):
                 if problems[r].noise_std > 0.0:
                     noise = rngs[r].normal(0.0, problems[r].noise_std, (span, d, n))
@@ -242,8 +246,7 @@ def _simulate(runs: list) -> list:
         for i in failed:
             wps[i] = wgs[i] = 0.0  # keeps its row finite until it leaves below
         gw = np.matmul(g, wgs, out=gws[:, k])
-        following = xs if k + 1 < size else np.empty_like(xs)
-        nxt = np.matmul(x, wps, out=following[:, (k + 1) % size])
+        nxt = np.matmul(x, wps, out=xs[:, k + 1])
         nxt -= np.multiply(lr, gw, out=scratch)
         if not np.abs(nxt, out=scratch).max() <= _DIVERGE_LIMIT:
             big = np.abs(nxt).max(axis=(1, 2))
@@ -257,15 +260,11 @@ def _simulate(runs: list) -> list:
             last = [last[i] for i in keep]
             if not live:
                 break
-            in_chunk = following is xs
-            hess, lr, xs, gs, gws, offset, wps, wgs, scratch, following = (
-                v[keep] for v in (hess, lr, xs, gs, gws, offset, wps, wgs, scratch, following))
-            if in_chunk:
-                following = xs
+            hess, lr, xs, gs, gws, offset, wps, wgs, scratch = (
+                v[keep] for v in (hess, lr, xs, gs, gws, offset, wps, wgs, scratch))
         if k == size - 1 or t == steps - 1:
             _chunk_metrics(problems, live, xs[:, :k + 1], gs[:, :k + 1], gws[:, :k + 1],
                            cols, t - k)
-        xs = following
     for r in live:
         outcomes[r] = MetricsLog(
             step=np.arange(steps),

@@ -34,14 +34,6 @@ def _former_loss(p, x):
     return sum((r[:, None, :] @ r[:, :, None]).ravel().tolist()) / p.n
 
 
-def _loss_tolerance(p, x):
-    """1e-12 of f(x) + ||Q||_2 ||x - x*||^2. Forming Q = (1/n) sum A_i^T A_i
-    squares A's condition, so the cached loss's rounding scales with
-    ||Q|| ||v||^2, not with f(x), where v = x - x* lies near Q's null space."""
-    v = np.linalg.norm(x - p.x_star)
-    return 1e-12 * (_former_loss(p, x) + np.linalg.norm(p.q, 2) * v * v)
-
-
 def _node_gradient(p, i, x):
     return 2.0 * (p.a[i].T @ (p.a[i] @ x + p.b[i]))
 
@@ -115,17 +107,17 @@ def test_loss_of_a_stack_matches_each_point(n, d, extra_rows, t, seed, log_scale
         one = p.loss(x[i])
         assert type(one) is float
         assert stacked[i] == one
-        assert abs(one - _former_loss(p, x[i])) <= _loss_tolerance(p, x[i])
+        assert one == pytest.approx(_former_loss(p, x[i]), rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 24), st.integers(1, 20), st.integers(0, 4), st.integers(0, 2**16),
        st.floats(-3.0, 3.0))
-def test_cached_forms_match_the_residual_forms(n, d, extra_rows, seed, log_scale):
-    """full_gradients (H_i x_i + c_i) and Problem.loss (f(x*) + v^T Q v)
-    agree with 2 A_i^T (A_i x_i + b_i) and the mean of ||A_i x + b_i||^2
-    node by node: the gradients within 1e-12 of their largest entry, the
-    loss within _loss_tolerance."""
+def test_gradients_and_loss_match_the_node_by_node_forms(n, d, extra_rows, seed, log_scale):
+    """full_gradients (H_i x_i + c_i) and Problem.loss (one product of the
+    stacked rows) agree with 2 A_i^T (A_i x_i + b_i) and the mean of
+    ||A_i x + b_i||^2 computed node by node: the gradients within 1e-12 of
+    their largest entry, the loss within rel 1e-12."""
     p = make_random_quadratics(n, d, -(-d // n) + extra_rows, seed=seed)
     x = np.random.default_rng(seed).standard_normal((d, n)) * 10.0**log_scale
     want = np.stack([_node_gradient(p, i, x[:, i]) for i in range(n)], axis=1)
@@ -133,7 +125,7 @@ def test_cached_forms_match_the_residual_forms(n, d, extra_rows, seed, log_scale
                                atol=1e-12 * np.abs(want).max())
     for point in x.T:
         value = sum(_node_value(p, i, point) for i in range(n)) / n
-        assert abs(p.loss(point) - value) <= _loss_tolerance(p, point)
+        assert p.loss(point) == pytest.approx(value, rel=1e-12)
 
 
 def test_random_quadratics_rejects_underdetermined():
