@@ -38,7 +38,6 @@ from .objectives import (
     zeta_sq_at,
 )
 from .simulator import (
-    ALGORITHMS,
     DivergenceError,
     MetricsLog,
     RunConfig,

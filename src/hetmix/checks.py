@@ -334,7 +334,7 @@ def solver_matches_oracle() -> CheckResult:
     )
 
 
-def _mean_point_run(problem, graph, cfg, solver_params):
+def _mean_point_run(problem, graph, cfg, params):
     """Recorded steps of a noiseless problem with the mean-point refresh of the drift checks.
 
     Every cfg.period steps the matrix is re-solved from the exact gradients
@@ -345,7 +345,7 @@ def _mean_point_run(problem, graph, cfg, solver_params):
     def matrices(t, x, g):
         if t % cfg.period == 0:
             gamma = gram(center_columns(_mean_point_grads(problem, x)))
-            state["w"] = solve_gme(gamma, graph, solver_params).w
+            state["w"] = solve_gme(gamma, graph, params).w
         return state["w"], state["w"]
 
     return _record(problem, graph, cfg, matrices)
@@ -438,15 +438,13 @@ def update_identity() -> CheckResult:
     mh = metropolis_hastings(graph).w
     cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, noise_seed=3)
     rec1 = _record(problem, graph, cfg, lambda t, x, g: (mh, mh))
-    hcfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, algorithm="hadsgd",
-                     period=20, sketch_dim=16, noise_seed=4)
-    schedule = _refreshed(graph, hcfg, GmeSolverParams(max_iters=60, tol=1e-6))
-    rec2 = _record(problem, graph, hcfg, schedule)
+    hcfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, period=20, sketch_dim=16,
+                     noise_seed=4)
+    rec2 = _record(problem, graph, hcfg, _refreshed(graph, hcfg))
     two_class = make_two_class_ring(6, seed=5)
     ring16 = build_ring(16)
     mh16, pairs = metropolis_hastings(ring16).w, pairing_matrix(16).w
-    dcfg = RunConfig(steps=40, lr=0.1 / two_class.smoothness,
-                     algorithm="decoupled", noise_seed=6)
+    dcfg = RunConfig(steps=40, lr=0.1 / two_class.smoothness, noise_seed=6)
     rec3 = _record(two_class, ring16, dcfg, lambda t, x, g: (mh16, pairs))
     resid = max(check_update_identity(rec, c.lr)
                 for rec, c in ((rec1, cfg), (rec2, hcfg), (rec3, dcfg)))
@@ -554,7 +552,7 @@ def pairing_cancellation() -> CheckResult:
         relative_zeta_sq_at(problem, rng.standard_normal(10), pairs)
         for _ in range(10)
     )
-    cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, algorithm="decoupled")
+    cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness)
     exact = run_dsgd(replace(problem, noise_std=0.0), graph, metropolis_hastings(graph),
                      cfg, w_grads=pairs)
     worst_gme = float(exact.gme.max())

@@ -43,13 +43,11 @@ _SCHEMA: dict[str, type] = {
     "n": int, "rows": int, "cols": int, "keep_fraction": float, "edge_file": str,
     "objective": str, "d": int, "m": int, "replicate_period": int,
     "noise_var": float, "steps": int, "lr": float, "lr_relative": float,
-    "period": int, "sketch_dim": int, "alternate": bool, "window": int,
-    "reps": int, "seed": int,
+    "period": int, "sketch_dim": int, "window": int, "reps": int, "seed": int,
 }
 _REQUIRED = ("name", "out", "algorithm", "topology", "objective", "d", "steps", "seed")
 # keys passed through to RunConfig, which owns their defaults and range checks
-_RUN_KEYS = ("algorithm", "steps", "period", "sketch_dim", "alternate", "window")
-_BOOL = {"true": True, "false": False}
+_RUN_KEYS = ("steps", "period", "sketch_dim", "window")
 
 # Each config choice maps a name to (the keys it needs, its builder). The
 # topology and objective builders raise ValueError or OSError on a bad value.
@@ -71,11 +69,28 @@ _OBJECTIVES = {
         n, cfg["d"], cfg.get("m", cfg["d"]), cfg["replicate_period"], seed,
         sqrt(cfg.get("noise_var", 0.0)))),
 }
+
+
+def _decoupled(cfg, topology, run_cfg):
+    pairs = pairing_matrix(topology.n)
+    if topology.off_support(pairs.w) is not None:
+        raise ConfigError("decoupled pairing needs edges (2k, 2k+1) in the graph")
+    return _fixed(_builder(cfg, "weights")(topology), pairs)
+
+
+# each builds one repetition's matrices_for_step from its topology and
+# RunConfig; decoupled raises ConfigError where the graph lacks a pairing edge
+_ALGORITHMS = {
+    "dsgd": ((), lambda cfg, topology, run_cfg: _fixed(_builder(cfg, "weights")(topology))),
+    "hadsgd": ((), lambda cfg, topology, run_cfg: _refreshed(topology, run_cfg)),
+    "decoupled": ((), _decoupled),
+}
 # each key that picks a builder: its table, and its choice when the key is
 # absent (None where the key is required); weights are the fixed matrix of
 # the algorithms that do not re-optimize it
 _CHOICES = {"topology": (_TOPOLOGIES, None), "objective": (_OBJECTIVES, None),
-            "weights": ({"mh": ((), metropolis_hastings)}, "mh")}
+            "weights": ({"mh": ((), metropolis_hastings)}, "mh"),
+            "algorithm": (_ALGORITHMS, None)}
 
 
 def parse_config(text: str) -> dict:
@@ -96,11 +111,8 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         typ = _SCHEMA[key]
         try:
-            if typ is bool:
-                values[key] = _BOOL[sval.lower()]
-            else:
-                values[key] = typ(sval)
-        except (KeyError, ValueError) as exc:
+            values[key] = typ(sval)
+        except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: value {sval!r} for {key!r} is not {typ.__name__}"
             ) from exc
@@ -189,15 +201,7 @@ def _repetition(cfg: dict, rep: int) -> tuple:
     run_cfg = _run_config(
         cfg, lr, sketch_seed=seed + 20_000 + rep, noise_seed=seed + 10_000 + rep
     )
-    if run_cfg.algorithm == "hadsgd":
-        return problem, topology, run_cfg, _refreshed(topology, run_cfg, None)
-    fixed = _builder(cfg, "weights")(topology)
-    pairs = None
-    if run_cfg.algorithm == "decoupled":
-        pairs = pairing_matrix(topology.n)
-        if topology.off_support(pairs.w) is not None:
-            raise ConfigError("decoupled pairing needs edges (2k, 2k+1) in the graph")
-    return problem, topology, run_cfg, _fixed(fixed, pairs)
+    return problem, topology, run_cfg, _builder(cfg, "algorithm")(cfg, topology, run_cfg)
 
 
 def _repetitions(cfg: dict):

@@ -120,10 +120,6 @@ class GramMatrix:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "lam_max", top)
 
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
 
 def center_columns(g: np.ndarray) -> np.ndarray:
     """Subtract the column mean from every column.

@@ -43,19 +43,18 @@ class Problem:
     Node i holds a[i] of shape (m, d) and b[i] of shape (m,). noise_std is
     the per-entry standard deviation of the additive gradient noise that
     the simulator's step loop draws, and must be finite and nonnegative.
-    x_star and smoothness are solved from the data unless given, as
-    permute_nodes gives them to keep their bits; a given x_star must be
-    the optimum, because the metrics measure distances from it.
 
-    From A^T A, computed once, the problem caches hess = 2 A_i^T A_i of
-    shape (n, d, d) and lin = 2 A_i^T b_i of shape (n, d).
+    From A^T A, computed once, the problem caches the optimum x_star, the
+    smoothness bound (twice the largest top eigenvalue of the A_i^T A_i),
+    hess = 2 A_i^T A_i of shape (n, d, d) and lin = 2 A_i^T b_i of shape
+    (n, d).
     """
 
     a: np.ndarray  # (n, m, d)
     b: np.ndarray  # (n, m)
     noise_std: float
-    x_star: np.ndarray | None = None
-    smoothness: float | None = None
+    x_star: np.ndarray = field(init=False)
+    smoothness: float = field(init=False)
     hess: np.ndarray = field(init=False, repr=False, compare=False)
     lin: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -70,12 +69,8 @@ class Problem:
         atb = (a.transpose(0, 2, 1) @ b[:, :, None])[..., 0]
         # Python sum adds node by node; ndarray.sum may pair terms differently,
         # which moves the last bits of the optimum
-        h = sum(ata)
-        x_star = _solve_optimum(h, sum(-atb)) if self.x_star is None else self.x_star
-        x_star = np.array(x_star, dtype=float)
-        smoothness = self.smoothness
-        if smoothness is None:
-            smoothness = 2.0 * max(top_eigenvalue(h_i) for h_i in ata)
+        x_star = _solve_optimum(sum(ata), sum(-atb))
+        smoothness = 2.0 * max(top_eigenvalue(h_i) for h_i in ata)
         cached = dict(a=a, b=b, x_star=x_star, hess=2.0 * ata, lin=2.0 * atb)
         for name, value in cached.items():
             value.flags.writeable = False
@@ -174,17 +169,13 @@ def make_replicated(
 
 
 def permute_nodes(problem: Problem, perm) -> Problem:
-    """Reassign node data by a permutation; the optimum and smoothness are unchanged."""
+    """Reassign node data by a permutation. The optimum and smoothness are
+    re-solved from the permuted data: smoothness keeps its bits, and x_star
+    moves only by the rounding of the node sums taken in another order."""
     perm = list(int(i) for i in perm)
     if sorted(perm) != list(range(problem.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    return Problem(
-        problem.a[perm],
-        problem.b[perm],
-        problem.noise_std,
-        problem.x_star,
-        problem.smoothness,
-    )
+    return Problem(problem.a[perm], problem.b[perm], problem.noise_std)
 
 
 def full_gradients(problem: Problem, x: np.ndarray) -> np.ndarray:

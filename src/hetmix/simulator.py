@@ -24,21 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gme import GmeSolverParams, SketchConfig, ce_gme
+from .gme import SketchConfig, ce_gme
 from .mixing import MixingMatrix, metropolis_hastings
 from .objectives import Problem, _node_gradients
 from .topology import Topology
 
 __all__ = [
-    "ALGORITHMS",
     "RunConfig",
     "MetricsLog",
     "DivergenceError",
     "run_dsgd",
     "run_hadsgd",
 ]
-
-ALGORITHMS = ("dsgd", "hadsgd", "decoupled")
 
 _CSV_HEADER = (
     "step,dist_to_opt,dist_to_opt_mean,consensus,gme,loss,"
@@ -62,21 +59,17 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Shared knobs for both runners; period, sketch_* and alternate matter only to run_hadsgd."""
+    """Shared knobs for both runners; period and sketch_* matter only to run_hadsgd."""
 
     steps: int
     lr: float
-    algorithm: str = "dsgd"
     period: int = 100
     sketch_dim: int = 64
     sketch_seed: int = 0
     noise_seed: int = 0
-    alternate: bool = True
     window: int = 5
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.lr <= 0:
@@ -303,7 +296,7 @@ def run_dsgd(
     return _simulate_one((problem, topology, cfg, _fixed(w, w_grads)))
 
 
-def _refreshed(topology: Topology, cfg: RunConfig, solver_params: GmeSolverParams | None):
+def _refreshed(topology: Topology, cfg: RunConfig):
     """The matrices_for_step of run_hadsgd, whose docstring gives the schedule."""
     mh = w = metropolis_hastings(topology).w
 
@@ -311,27 +304,21 @@ def _refreshed(topology: Topology, cfg: RunConfig, solver_params: GmeSolverParam
         nonlocal w
         if t % cfg.period == 0:
             scfg = SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // cfg.period)
-            w = ce_gme(g, topology, scfg, solver_params).w
-        if cfg.alternate and t % 2 == 1:
+            w = ce_gme(g, topology, scfg).w
+        if t % 2 == 1:
             return mh, mh
         return w, w
 
     return matrices
 
 
-def run_hadsgd(
-    problem: Problem,
-    topology: Topology,
-    cfg: RunConfig,
-    *,
-    solver_params: GmeSolverParams | None = None,
-) -> MetricsLog:
+def run_hadsgd(problem: Problem, topology: Topology, cfg: RunConfig) -> MetricsLog:
     """Periodically re-optimized mixing from sketched stochastic gradients.
 
     At steps divisible by cfg.period the mixing matrix is refreshed by
-    ce_gme on the step's stochastic gradients with sketch seed
-    cfg.sketch_seed + refresh index. With cfg.alternate the optimized
-    matrix is applied on even steps and Metropolis-Hastings on odd steps
-    (refreshes always land on even steps).
+    ce_gme, at the default GmeSolverParams, on the step's stochastic
+    gradients with sketch seed cfg.sketch_seed + refresh index. The
+    optimized matrix is applied on even steps and Metropolis-Hastings on
+    odd steps.
     """
-    return _simulate_one((problem, topology, cfg, _refreshed(topology, cfg, solver_params)))
+    return _simulate_one((problem, topology, cfg, _refreshed(topology, cfg)))

@@ -62,6 +62,9 @@ class Topology:
         seen: set[tuple[int, int]] = set()
         support = np.eye(self.n, dtype=bool)
         for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2
+                    and all(isinstance(v, (int, np.integer)) for v in edge)):
+                raise ValueError(f"edge {edge!r} is not a pair of integer node indices")
             i, j = edge
             if i == j:
                 raise ValueError(f"self-loop at node {i}")

@@ -11,7 +11,6 @@ from time import perf_counter
 import numpy as np
 
 from hetmix.checks import CHECKS, CheckResult
-from hetmix.gme import GmeSolverParams
 from hetmix.mixing import metropolis_hastings
 from hetmix.objectives import make_random_quadratics
 from hetmix.simulator import RunConfig, run_dsgd, run_hadsgd
@@ -41,9 +40,7 @@ def test_01_heterogeneity_aware_mixing_beats_fixed_weights(capsys):
     the fixed Metropolis-Hastings baseline on most repetitions."""
     t0 = perf_counter()
     steps, period = 3000, 100
-    # refreshes only need a few correct digits, and the 2-minute budget
-    # has no room for fully converged solves
-    shallow = GmeSolverParams(max_iters=100, tol=1e-8)
+    # the refreshes solve at the default GmeSolverParams, as `hetmix run` does
     wins = {"dist_to_opt_w": 0, "consensus_w": 0, "gme_w": 0}
     for rep in range(3):
         problem = make_random_quadratics(16, 10, seed=rep, noise_std=np.sqrt(0.1))
@@ -52,12 +49,8 @@ def test_01_heterogeneity_aware_mixing_beats_fixed_weights(capsys):
                     noise_seed=10_000 + rep, window=5)
         log_mh = run_dsgd(problem, graph, metropolis_hastings(graph),
                           RunConfig(**base))
-        log_ha = run_hadsgd(
-            problem, graph,
-            RunConfig(algorithm="hadsgd", period=period, sketch_dim=64,
-                      sketch_seed=20_000 + rep, **base),
-            solver_params=shallow,
-        )
+        log_ha = run_hadsgd(problem, graph, RunConfig(
+            period=period, sketch_dim=64, sketch_seed=20_000 + rep, **base))
         tail = slice(-(steps // 10), None)
         for metric in wins:
             wins[metric] += bool(

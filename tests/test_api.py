@@ -16,5 +16,5 @@ def test_package_reexports_every_public_name(module):
 
 def test_package_has_no_deleted_checks():
     for name in ("validate", "Violation", "CliquePartition", "project_feasible",
-                 "stochastic_gradients"):
+                 "stochastic_gradients", "ALGORITHMS"):
         assert not hasattr(hetmix, name), name

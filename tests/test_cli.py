@@ -70,12 +70,12 @@ def _reference_adaptive(out, **changes):
 # --- parsing -----------------------------------------------------------
 
 def test_parse_types_comments_and_order():
-    text = _BASE.format(out="/tmp/x") + "alternate = false\nkeep_fraction = 0.85\n"
+    text = _BASE.format(out="/tmp/x") + "period = 7\nkeep_fraction = 0.85\n"
     cfg = parse_config(text)
     want = {"name": "tiny", "out": "/tmp/x", "algorithm": "dsgd", "topology": "ring",
             "n": 6, "objective": "random", "d": 4, "noise_var": 0.01, "steps": 25,
             "lr_relative": 0.2, "window": 3, "reps": 2, "seed": 11,
-            "alternate": False, "keep_fraction": 0.85}
+            "period": 7, "keep_fraction": 0.85}
     # every pair of the file, in its order, with its schema type
     assert list(cfg.items()) == list(want.items())
     assert [type(v) for v in cfg.values()] == [type(v) for v in want.values()]
@@ -185,6 +185,15 @@ def test_run_reports_config_errors(tmp_path, capsys):
     assert code == 2
     assert "junk" in capsys.readouterr().out
     assert cmd_run(str(tmp_path / "missing.cfg")) == 2
+
+
+def test_run_rejects_the_deleted_alternate_key(tmp_path, capsys):
+    # every refresh alternates with Metropolis-Hastings; no key turns that off
+    text = _BASE.format(out=tmp_path / "a") + "alternate = false\n"
+    assert cmd_run(_write(tmp_path, text)) == 2
+    lineno = len(text.splitlines())
+    assert capsys.readouterr().out == f"config error: line {lineno}: unknown key 'alternate'\n"
+    assert not (tmp_path / "a").exists()
 
 
 def _set_keys(text, changes):
@@ -303,9 +312,8 @@ def _alone(keys, rep):
         problem = make_random_quadratics(n, d, d, data_seed, noise_std)
     graph = build_ring(n) if keys["topology"] == "ring" else build_random_connected(
         n, 0.5, data_seed)
-    cfg = RunConfig(steps=keys["steps"], lr=0.2 / problem.smoothness,
-                    algorithm=keys["algorithm"], period=keys["period"], sketch_dim=8,
-                    window=keys["window"], sketch_seed=seed + 20_000 + rep,
+    cfg = RunConfig(steps=keys["steps"], lr=0.2 / problem.smoothness, period=keys["period"],
+                    sketch_dim=8, window=keys["window"], sketch_seed=seed + 20_000 + rep,
                     noise_seed=seed + 10_000 + rep)
     if keys["algorithm"] == "hadsgd":
         return run_hadsgd(problem, graph, cfg)

@@ -52,7 +52,7 @@ def test_gram_matches_definition_and_invariants():
     gc = center_columns(rng.standard_normal((7, 5)))
     gm = gram(gc)
     np.testing.assert_allclose(gm.gamma, gc.T @ gc, atol=1e-12)
-    assert gm.n == 5
+    assert gm.gamma.shape == (5, 5)
     assert np.array_equal(gm.gamma, gm.gamma.T)
     assert np.linalg.eigvalsh(gm.gamma)[0] >= -1e-10
     assert np.abs(gm.gamma.sum(axis=1)).max() < 1e-10

@@ -16,7 +16,6 @@ from hetmix.objectives import (
     make_replicated,
     make_two_class_ring,
 )
-from hetmix.gme import GmeSolverParams
 from hetmix.simulator import (
     _CHUNK,
     DivergenceError,
@@ -105,9 +104,7 @@ def test_decoupled_with_equal_matrices_is_dsgd():
     g = build_ring(6)
     w = metropolis_hastings(g)
     cfg = RunConfig(steps=80, lr=0.2 / p.smoothness, noise_seed=1)
-    cfg2 = RunConfig(steps=80, lr=0.2 / p.smoothness, algorithm="decoupled",
-                     noise_seed=1)
-    assert _logs_equal(run_dsgd(p, g, w, cfg), run_dsgd(p, g, w, cfg2, w_grads=w))
+    assert _logs_equal(run_dsgd(p, g, w, cfg), run_dsgd(p, g, w, cfg, w_grads=w))
 
 
 def test_uniform_mixing_tracks_centralized_descent():
@@ -144,8 +141,7 @@ def test_replicated_ring_run_collapses_to_centralized():
 def test_periodic_refresh_keeps_structured_instance_mixed():
     p = make_replicated(6, 5, period=3, seed=44)
     g = build_ring(6)
-    cfg = RunConfig(steps=100, lr=0.3 / p.smoothness, algorithm="hadsgd",
-                    period=10, sketch_dim=16)
+    cfg = RunConfig(steps=100, lr=0.3 / p.smoothness, period=10, sketch_dim=16)
     log = run_hadsgd(p, g, cfg)
     grad_scale = float(np.sum(full_gradients(p, np.zeros((5, 6))) ** 2))
     assert log.gme.max() <= 1e-8 * grad_scale
@@ -154,7 +150,7 @@ def test_periodic_refresh_keeps_structured_instance_mixed():
 def test_two_class_pairing_run_is_exactly_mixed():
     p = make_two_class_ring(6, seed=45, noise_std=0.0)
     g = build_ring(16)
-    cfg = RunConfig(steps=150, lr=0.3 / p.smoothness, algorithm="decoupled")
+    cfg = RunConfig(steps=150, lr=0.3 / p.smoothness)
     log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=pairing_matrix(16))
     grad_scale = float(np.sum(full_gradients(p, np.zeros((6, 16))) ** 2))
     assert log.gme.max() <= 1e-16 * grad_scale
@@ -163,25 +159,16 @@ def test_two_class_pairing_run_is_exactly_mixed():
 
 # --- scheduling details ------------------------------------------------
 
-_SHALLOW = GmeSolverParams(max_iters=60, tol=1e-6)  # schedule tests don't need depth
-
-
 def test_alternate_interleaves_metropolis_hastings():
     p = make_random_quadratics(8, 5, seed=46, noise_std=0.1)
     g = build_random_connected(8, 0.6, seed=2)
     mh = metropolis_hastings(g).w
-    cfg = RunConfig(steps=9, lr=0.1 / p.smoothness, algorithm="hadsgd",
-                    period=4, sketch_dim=8)
-    rec = _record(p, g, cfg, _refreshed(g, cfg, _SHALLOW))
+    cfg = RunConfig(steps=9, lr=0.1 / p.smoothness, period=4, sketch_dim=8)
+    rec = _record(p, g, cfg, _refreshed(g, cfg))
     for t in (1, 3, 5, 7):
         np.testing.assert_array_equal(rec[t][2], mh)
         np.testing.assert_array_equal(rec[t][3], mh)
     assert not np.array_equal(rec[0][3], mh)
-    # without alternation every step applies the refreshed matrix
-    cfg2 = RunConfig(steps=9, lr=0.1 / p.smoothness, algorithm="hadsgd",
-                     period=4, sketch_dim=8, alternate=False)
-    rec2 = _record(p, g, cfg2, _refreshed(g, cfg2, _SHALLOW))
-    np.testing.assert_array_equal(rec2[0][3], rec2[1][3])
 
 
 def test_sketch_seed_changes_the_refresh():
@@ -189,12 +176,9 @@ def test_sketch_seed_changes_the_refresh():
     g = build_random_connected(8, 0.6, seed=3)
     base = dict(steps=30, lr=0.1 / p.smoothness, period=10, sketch_dim=4,
                 noise_seed=9)
-    a = run_hadsgd(p, g, RunConfig(algorithm="hadsgd", sketch_seed=0, **base),
-                   solver_params=_SHALLOW)
-    b = run_hadsgd(p, g, RunConfig(algorithm="hadsgd", sketch_seed=1, **base),
-                   solver_params=_SHALLOW)
-    c = run_hadsgd(p, g, RunConfig(algorithm="hadsgd", sketch_seed=0, **base),
-                   solver_params=_SHALLOW)
+    a = run_hadsgd(p, g, RunConfig(sketch_seed=0, **base))
+    b = run_hadsgd(p, g, RunConfig(sketch_seed=1, **base))
+    c = run_hadsgd(p, g, RunConfig(sketch_seed=0, **base))
     assert _logs_equal(a, c)
     assert not _logs_equal(a, b)
 
@@ -226,10 +210,10 @@ def test_trace_recording_and_identity():
 def test_the_hook_inputs_are_never_written_after_the_call(algorithm):
     p = make_random_quadratics(6, 4, seed=56, noise_std=0.3)
     g = build_random_connected(6, 0.6, seed=4)
-    cfg = RunConfig(steps=2 * _CHUNK + 3, lr=0.2 / p.smoothness, algorithm=algorithm,
-                    period=10, sketch_dim=8, noise_seed=7)
+    cfg = RunConfig(steps=2 * _CHUNK + 3, lr=0.2 / p.smoothness, period=10, sketch_dim=8,
+                    noise_seed=7)
     mh = metropolis_hastings(g).w
-    schedule = _refreshed(g, cfg, _SHALLOW) if algorithm == "hadsgd" else _fixed(mh, mh)
+    schedule = _refreshed(g, cfg) if algorithm == "hadsgd" else _fixed(mh, mh)
     kept, copies = [], []
 
     def hook(t, x, grads):
@@ -256,8 +240,8 @@ def test_hooks_may_return_fresh_or_alternating_matrices():
     fixed = _simulate_one((p, g, cfg, _fixed(mh, mh)))
     fresh = _simulate_one((p, g, cfg, lambda t, x, grads: (mh.copy(), mh.copy())))
     assert _logs_equal(fixed, fresh)
-    hcfg = replace(cfg, algorithm="hadsgd", period=10, sketch_dim=8)
-    rec = _record(p, g, hcfg, _refreshed(g, hcfg, _SHALLOW))
+    hcfg = replace(cfg, period=10, sketch_dim=8)
+    rec = _record(p, g, hcfg, _refreshed(g, hcfg))
     for t, ((x0, grads, wp, wg), (x1, *_)) in enumerate(zip(rec, rec[1:])):
         assert np.array_equal(wp, mh) == np.array_equal(wg, mh) == (t % 2 == 1)
         np.testing.assert_array_equal(x1, x0 @ wp - hcfg.lr * (grads @ wg))
@@ -303,8 +287,7 @@ def test_a_stopped_run_leaves_the_others_as_they_run_alone():
     problems = [make_random_quadratics(6, 4, seed=60 + r, noise_std=0.2 * (r % 2))
                 for r in range(4)]
     cfgs = [RunConfig(steps=2 * _CHUNK + 5, lr=(30.0 if r == 0 else 0.2) / p.smoothness,
-                      algorithm="hadsgd" if r == 3 else "dsgd", period=10, sketch_dim=8,
-                      noise_seed=r) for r, p in enumerate(problems)]
+                      period=10, sketch_dim=8, noise_seed=r) for r, p in enumerate(problems)]
     mh = [metropolis_hastings(graph) for graph in graphs]
 
     def refresh_fails(t, x, grads):
@@ -313,14 +296,13 @@ def test_a_stopped_run_leaves_the_others_as_they_run_alone():
         return mh[2].w, mh[2].w
 
     hooks = [_fixed(mh[0].w, mh[0].w), _fixed(mh[1].w, mh[1].w), refresh_fails,
-             _refreshed(graphs[3], cfgs[3], _SHALLOW)]
+             _refreshed(graphs[3], cfgs[3])]
     with pytest.warns(RuntimeWarning, match="expect divergence"):
         outcomes = _simulate(list(zip(problems, graphs, cfgs, hooks)))
     assert isinstance(outcomes[0], DivergenceError) and outcomes[0].step == 79
     assert isinstance(outcomes[2], ArithmeticError)
     assert _logs_equal(outcomes[1], run_dsgd(problems[1], graphs[1], mh[1], cfgs[1]))
-    assert _logs_equal(outcomes[3], run_hadsgd(problems[3], graphs[3], cfgs[3],
-                                               solver_params=_SHALLOW))
+    assert _logs_equal(outcomes[3], run_hadsgd(problems[3], graphs[3], cfgs[3]))
 
 
 def test_run_config_validation():
@@ -328,8 +310,6 @@ def test_run_config_validation():
         RunConfig(steps=0, lr=0.1)
     with pytest.raises(ValueError):
         RunConfig(steps=1, lr=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(steps=1, lr=0.1, algorithm="sgd")
     with pytest.raises(ValueError):
         RunConfig(steps=1, lr=0.1, period=0)
     with pytest.raises(ValueError):
@@ -400,10 +380,9 @@ def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
     if exact:
         p = replace(p, noise_std=0.0)
     g = build_random_connected(n, 0.5, seed)
-    cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, algorithm=algorithm,
-                    sketch_dim=8, noise_seed=seed)
+    cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, sketch_dim=8, noise_seed=seed)
     if algorithm == "hadsgd":
-        schedule = _refreshed(g, cfg, _SHALLOW)
+        schedule = _refreshed(g, cfg)
     else:
         wp = metropolis_hastings(g).w
         wg = metropolis_hastings(build_complete(n)).w if algorithm == "decoupled" else wp

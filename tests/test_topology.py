@@ -134,6 +134,17 @@ def test_constructor_rejects_malformed_edges():
         Topology(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError):
         Topology(1, ())
+    # an edge that is not a pair of integers is named, whatever breaks first
+    with pytest.raises(ValueError, match=r"edge \(0\.0, 1\.0\) is not a pair"):
+        Topology(3, ((0.0, 1.0), (1, 2)))
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 2\) is not a pair"):
+        Topology(3, ((0, 1, 2),))
+    with pytest.raises(ValueError, match=r"edge \(0, '1'\) is not a pair"):
+        Topology(3, ((0, "1"),))
+    with pytest.raises(ValueError, match=r"edge \[0, 1\] is not a pair"):
+        Topology(2, ([0, 1],))
+    # numpy integers are node indices too
+    assert Topology(3, ((np.int64(0), np.int32(1)), (1, np.uint8(2)))).edges == ((0, 1), (1, 2))
 
 
 def test_edges_are_sorted_regardless_of_input_order():

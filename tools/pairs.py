@@ -8,8 +8,9 @@ For each seed, both checkouts run `bench/run.py --workload W --seed S
 first on even ones, so a drift of the machine's speed over the session
 falls on both sides alike. The script prints each pair's ratio of every
 end-to-end metric (change / base), the medians and quartiles of both
-sides, and how many pairs each side won, and writes all runs and these
-figures as JSON. Standard library only.
+sides, how many pairs the change won, and a verdict per metric (see
+summarize), and writes all runs and these figures as JSON. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -46,9 +47,53 @@ def _quartiles(values: list) -> list:
     return [q[0], q[2]]
 
 
-def _better(root: str) -> dict:
+def _end_to_end(root: str) -> dict:
+    """Each end-to-end metric of BENCHMARK.json: name -> (better, bound)."""
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+
+
+def summarize(base: list, change: list, better: str, bound: float) -> dict:
+    """The figures and the verdict of one metric over paired runs, base[i] beside change[i].
+
+    A pair is won by the side whose value is better ("higher" or "lower");
+    a tie counts for neither. The spread is the base's interquartile range.
+    The verdict is the first that holds of:
+    - "regression": the change's median is worse than the base's by more
+      than bound, relative to the base's median;
+    - "unresolved": the base's spread exceeds bound relative to its median,
+      and some change run does not beat every base run;
+    - "gain shown": the change wins at least nine tenths of the pairs, and
+      its median is better than the base's by more than the spread;
+    - "no gain shown".
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base_median, change_median = statistics.median(base), statistics.median(change)
+    low, high = _quartiles(base)
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    gain = sign * (change_median - base_median)
+    every_beats = min(sign * c for c in change) > max(sign * b for b in base)
+    if -gain > bound * abs(base_median):
+        verdict = "regression"
+    elif high - low > bound * abs(base_median) and not every_beats:
+        verdict = "unresolved"
+    elif 10 * wins >= 9 * len(base) and gain > high - low:
+        verdict = "gain shown"
+    else:
+        verdict = "no gain shown"
+    return {
+        "better": better,
+        "bound": bound,
+        "base_median": base_median,
+        "base_quartiles": [low, high],
+        "change_median": change_median,
+        "change_quartiles": _quartiles(change),
+        "median_ratio": change_median / base_median,
+        "pair_ratios": [c / b for b, c in zip(base, change)],
+        "change_wins": wins,
+        "pairs": len(base),
+        "verdict": verdict,
+    }
 
 
 def main() -> int:
@@ -61,7 +106,7 @@ def main() -> int:
     parser.add_argument("--json", help="write the runs and the summary here")
     args = parser.parse_args()
     roots = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
-    better = _better(roots["change"])
+    metrics = _end_to_end(roots["change"])
     runs = []
     for index, seed in enumerate(_seeds(args.seeds)):
         order = ("base", "change") if index % 2 else ("change", "base")
@@ -70,29 +115,18 @@ def main() -> int:
             pair[side] = _run(roots[side], args.workload, seed, args.seconds)
         runs.append(pair)
         ratios = {name: pair["change"]["metrics"][name]["value"]
-                  / pair["base"]["metrics"][name]["value"] for name in better}
+                  / pair["base"]["metrics"][name]["value"] for name in metrics}
         print(f"seed {seed} ({order[0]} first): "
               + ", ".join(f"{name} x{ratio:.3f}" for name, ratio in ratios.items()), flush=True)
     summary = {}
-    for name, direction in better.items():
-        base = [p["base"]["metrics"][name]["value"] for p in runs]
-        change = [p["change"]["metrics"][name]["value"] for p in runs]
-        wins = sum((c > b) if direction == "higher" else (c < b) for b, c in zip(base, change))
-        summary[name] = {
-            "better": direction,
-            "base_median": statistics.median(base),
-            "base_quartiles": _quartiles(base),
-            "change_median": statistics.median(change),
-            "change_quartiles": _quartiles(change),
-            "median_ratio": statistics.median(change) / statistics.median(base),
-            "pair_ratios": [c / b for b, c in zip(base, change)],
-            "change_wins": wins,
-            "pairs": len(runs),
-        }
-        s = summary[name]
+    for name, (better, bound) in metrics.items():
+        s = summary[name] = summarize([p["base"]["metrics"][name]["value"] for p in runs],
+                                      [p["change"]["metrics"][name]["value"] for p in runs],
+                                      better, bound)
         print(f"{name}: base {s['base_median']:.4g} {[round(q, 4) for q in s['base_quartiles']]}"
               f" -> change {s['change_median']:.4g} {[round(q, 4) for q in s['change_quartiles']]},"
-              f" ratio {s['median_ratio']:.3f}, change won {wins} of {len(runs)}")
+              f" ratio {s['median_ratio']:.3f}, change won {s['change_wins']} of {len(runs)}:"
+              f" {s['verdict']}")
     correct = all(p[side]["correct"] and p[side]["failed"] == 0
                   for p in runs for side in ("base", "change"))
     print(f"every run correct with 0 failed calls: {correct}")
