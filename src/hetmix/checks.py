@@ -408,26 +408,35 @@ def gme_drift_over_period() -> CheckResult:
 
 
 def local_vs_mean_gme() -> CheckResult:
-    """Mean-point mixing error bounded by local error plus consensus gap, random inputs."""
-    rng = np.random.default_rng(707)
-    worst = -np.inf
-    for _ in range(100):
-        n = int(rng.integers(4, 9))
-        d = int(rng.integers(3, 7))
-        problem = make_random_quadratics(n, d, d, seed=int(rng.integers(1 << 30)))
-        graph = build_random_connected(n, float(rng.uniform(0.4, 1.0)),
-                                       int(rng.integers(1 << 30)))
-        w = _random_feasible(graph, rng).w
-        x = rng.standard_normal((d, n)) * float(rng.uniform(0.3, 3.0))
-        g_mean = _mean_point_grads(problem, x)
-        g_loc = full_gradients(problem, x)
-        lhs = np.sum((g_mean @ w - g_mean.mean(axis=1, keepdims=True)) ** 2)
-        rhs = 2.0 * np.sum((g_loc @ w - g_loc.mean(axis=1, keepdims=True)) ** 2)
-        rhs += 2.0 * problem.smoothness**2 * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
-        worst = max(worst, lhs - rhs)
+    """Mean-point mixing error bounded by local error plus consensus gap, random inputs.
+
+    In 50 of the 150 instances every local gradient is one drawn g, so the
+    local term is 0 and the bound rests on 2 L^2 ||X - Xbar||^2 alone."""
+    worst = {False: -np.inf, True: -np.inf}
+    for seed, count, equal in ((707, 100, False), (2929, 50, True)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(4, 9))
+            d = int(rng.integers(3, 7))
+            problem = make_random_quadratics(n, d, d, seed=int(rng.integers(1 << 30)))
+            graph = build_random_connected(n, float(rng.uniform(0.4, 1.0)),
+                                           int(rng.integers(1 << 30)))
+            w = _random_feasible(graph, rng).w
+            if equal:
+                g = rng.standard_normal(d) * float(rng.uniform(0.3, 3.0))
+                x = np.linalg.solve(problem.hess, (g - problem.lin)[:, :, None])[..., 0].T
+            else:
+                x = rng.standard_normal((d, n)) * float(rng.uniform(0.3, 3.0))
+            g_mean = _mean_point_grads(problem, x)
+            g_loc = full_gradients(problem, x)
+            lhs = np.sum((g_mean @ w - g_mean.mean(axis=1, keepdims=True)) ** 2)
+            rhs = 2.0 * np.sum((g_loc @ w - g_loc.mean(axis=1, keepdims=True)) ** 2)
+            rhs += 2.0 * problem.smoothness**2 * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
+            worst[equal] = max(worst[equal], lhs - rhs)
     return CheckResult(
-        "local_vs_mean_gme", worst <= 1e-8,
-        f"max violation {worst:.3e} over 100 instances",
+        "local_vs_mean_gme", max(worst.values()) <= 1e-8,
+        f"max violation {worst[False]:.3e} over 100 instances, "
+        f"{worst[True]:.3e} over 50 with equal local gradients",
     )
 
 

@@ -305,7 +305,7 @@ def _refreshed(topology: Topology, cfg: RunConfig):
         if t % cfg.period == 0:
             scfg = SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // cfg.period)
             w = ce_gme(g, topology, scfg).w
-        if t % 2 == 1:
+        if t % cfg.period % 2 == 1:
             return mh, mh
         return w, w
 
@@ -317,8 +317,8 @@ def run_hadsgd(problem: Problem, topology: Topology, cfg: RunConfig) -> MetricsL
 
     At steps divisible by cfg.period the mixing matrix is refreshed by
     ce_gme, at the default GmeSolverParams, on the step's stochastic
-    gradients with sketch seed cfg.sketch_seed + refresh index. The
-    optimized matrix is applied on even steps and Metropolis-Hastings on
-    odd steps.
+    gradients with sketch seed cfg.sketch_seed + refresh index. It is applied
+    an even number of steps after its refresh and Metropolis-Hastings an odd
+    number after, so period 1 applies a fresh matrix at every step.
     """
     return _simulate_one((problem, topology, cfg, _refreshed(topology, cfg)))

@@ -1,13 +1,13 @@
 """Communication graphs for decentralized optimization.
 
-Nodes are integers 0..n-1. Graphs are undirected and simple, stored as
-canonical (i, j) pairs with i < j, and must be connected: every
-constructor and the file loader reject anything else.
+Nodes are integers 0..n-1. Graphs are undirected, simple and connected:
+every constructor and the file loader reject anything else. A graph is
+held in one form, a boolean (n, n) support mask of edges plus diagonal;
+its canonical (i, j) pairs, i < j, are read off the mask's upper triangle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
@@ -23,25 +23,23 @@ __all__ = [
 ]
 
 
-def _is_connected(n: int, neighbor_sets: list[set[int]]) -> bool:
-    """Breadth-first search reachability from node 0."""
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in neighbor_sets[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == n
+def _is_connected(adj: np.ndarray) -> bool:
+    """Whether every node reaches node 0 in the boolean (n, n) adjacency
+    adj, whose diagonal is set: the reached set grows by one boolean
+    product per hop until it covers every node or stops changing."""
+    reach = adj[0]
+    while not reach.all():
+        grown = adj @ reach
+        if np.array_equal(grown, reach):
+            return False
+        reach = grown
+    return True
 
 
-def _neighbor_sets(n: int, edges) -> list[set[int]]:
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        sets[i].add(j)
-        sets[j].add(i)
-    return sets
+def _edges(adj: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The canonical (i, j), i < j, of the mask's upper triangle, sorted, as Python ints."""
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class Topology:
 
     Attributes:
         n: number of nodes.
-        edges: canonical edge pairs (i, j) with i < j, sorted.
+        edges: canonical edge pairs (i, j) with i < j, sorted, as Python ints.
     """
 
     n: int
@@ -59,7 +57,6 @@ class Topology:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got n={self.n}")
-        seen: set[tuple[int, int]] = set()
         support = np.eye(self.n, dtype=bool)
         for edge in self.edges:
             if not (isinstance(edge, tuple) and len(edge) == 2
@@ -70,15 +67,14 @@ class Topology:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < j < self.n):
                 raise ValueError(f"edge {edge} is not canonical for n={self.n}")
-            if edge in seen:
+            if support[i, j]:
                 raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
             support[i, j] = support[j, i] = True
-        support.flags.writeable = False
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(self, "_support", support)
-        if not _is_connected(self.n, _neighbor_sets(self.n, self.edges)):
+        if not _is_connected(support):
             raise ValueError("graph is not connected")
+        support.flags.writeable = False
+        object.__setattr__(self, "edges", _edges(support))
+        object.__setattr__(self, "_support", support)
 
     def support_mask(self) -> np.ndarray:
         """Read-only boolean (n, n) mask of allowed mixing-weight entries:
@@ -132,10 +128,10 @@ def build_random_connected(n: int, keep_fraction: float, seed: int) -> Topology:
     """Thin a complete graph down to roughly keep_fraction of its edges.
 
     Edges of the complete graph are visited once in a seed-determined
-    shuffled order; each is removed unless removal would disconnect the
-    graph, stopping once ceil(keep_fraction * n(n-1)/2) edges remain.
-    An edge that is a bridge stays a bridge as more edges go away, so a
-    single pass suffices.
+    shuffled order; each is removed from an all-True adjacency mask unless
+    removal would disconnect the graph, stopping once
+    ceil(keep_fraction * n(n-1)/2) edges remain. An edge that is a bridge
+    stays a bridge as more edges go away, so a single pass suffices.
 
     Args:
         n: number of nodes (>= 2).
@@ -150,20 +146,17 @@ def build_random_connected(n: int, keep_fraction: float, seed: int) -> Topology:
     target = ceil(keep_fraction * total)
     order = [(i, j) for i in range(n) for j in range(i + 1, n)]
     np.random.default_rng(seed).shuffle(order)
-    nbrs = _neighbor_sets(n, order)
+    adj = np.ones((n, n), dtype=bool)
     count = total
     for i, j in order:
         if count <= target:
             break
-        nbrs[i].discard(j)
-        nbrs[j].discard(i)
-        if _is_connected(n, nbrs):
+        adj[i, j] = adj[j, i] = False
+        if _is_connected(adj):
             count -= 1
         else:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    edges = tuple((i, int(j)) for i in range(n) for j in nbrs[i] if i < j)
-    return Topology(n, edges)
+            adj[i, j] = adj[j, i] = True
+    return Topology(n, _edges(adj))
 
 
 def load_edge_list(path) -> Topology:

@@ -96,6 +96,16 @@ def test_random_quadratics_basic_facts():
     assert p.loss(x) == pytest.approx(sum(_node_value(p, i, x) for i in range(5)) / 5)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e4, 1e8])
+def test_scaled_data_keeps_the_optimum(scale):
+    """A and b scaled by s give the same x* and s^2 times the smoothness."""
+    for seed in range(5):
+        p = make_random_quadratics(16, 10, seed=seed)
+        q = Problem(p.a * scale, p.b * scale, 0.0)
+        assert np.linalg.norm(q.x_star - p.x_star) <= 1e-12 * np.linalg.norm(p.x_star)
+        assert q.smoothness == pytest.approx(p.smoothness * scale**2, rel=1e-12)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 24), st.integers(1, 20), st.integers(0, 4), st.integers(1, 40),
        st.integers(0, 2**16), st.floats(-3.0, 3.0))

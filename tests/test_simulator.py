@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hetmix.simulator
 from hetmix.checks import _record, _recording, check_update_identity
+from hetmix.gme import SketchConfig, ce_gme
 from hetmix.mixing import metropolis_hastings, pairing_matrix
 from hetmix.objectives import (
     full_gradients,
@@ -169,6 +170,23 @@ def test_alternate_interleaves_metropolis_hastings():
         np.testing.assert_array_equal(rec[t][2], mh)
         np.testing.assert_array_equal(rec[t][3], mh)
     assert not np.array_equal(rec[0][3], mh)
+
+
+def test_odd_period_alternates_from_each_refresh():
+    """At period 3, MH lands on the steps one after a refresh, and each
+    refresh's matrix mixes the gradients it was solved from."""
+    p = make_random_quadratics(8, 5, seed=50, noise_std=0.1)
+    g = build_random_connected(8, 0.6, seed=4)
+    mh = metropolis_hastings(g).w
+    cfg = RunConfig(steps=9, lr=0.1 / p.smoothness, period=3, sketch_dim=8)
+    rec = _record(p, g, cfg, _refreshed(g, cfg))[:9]
+    assert [t for t, (_, _, wp, wg) in enumerate(rec)
+            if np.array_equal(wp, mh) and np.array_equal(wg, mh)] == [1, 4, 7]
+    for t in (0, 3, 6):
+        w = ce_gme(rec[t][1], g, SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // 3)).w
+        for s in (t, t + 2):
+            np.testing.assert_array_equal(rec[s][2], w)
+            np.testing.assert_array_equal(rec[s][3], w)
 
 
 def test_sketch_seed_changes_the_refresh():

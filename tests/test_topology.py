@@ -1,7 +1,9 @@
 """Graph constructors, validation, the edge-list file format, and the
 random feasible matrices the checks draw on those graphs."""
 
+import importlib.util
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,21 @@ from hetmix.topology import (
 
 
 # --- oracles -----------------------------------------------------------
-# union-find connectivity, independent of the package's search
+# union-find connectivity, independent of the package's boolean products,
+# and the benchmark's own thinning of the complete graph, loaded read-only
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+def _load_reference():
+    spec = importlib.util.spec_from_file_location("bench_reference", _REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+random_connected_edges = _load_reference().random_connected_edges
+
 
 def _connected_union_find(n, edges):
     parent = list(range(n))
@@ -210,6 +226,50 @@ def test_random_feasible_draws_mix_permutations_along_edges(graph, seed):
     w = _random_feasible(graph, rng)
     assert isinstance(w, MixingMatrix)
     assert graph.off_support(w.w) is None
+
+
+# --- the mask form against independent oracles -------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+@example(40, 0.01, 0)
+def test_random_connected_matches_the_reference_thinning(n, keep, seed):
+    assert build_random_connected(n, keep, seed).edges == random_connected_edges(n, keep, seed)
+
+
+@st.composite
+def _edge_subsets(draw):
+    """n from 2 to 16 and a random subset of its node pairs, each kept with
+    a drawn probability and given in a drawn order; low probabilities
+    leave many subsets disconnected."""
+    n = draw(st.integers(2, 16))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kept = rng.random(len(pairs)) < draw(st.floats(0.0, 1.0))
+    return n, draw(st.permutations([e for e, k in zip(pairs, kept) if k]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_edge_subsets())
+@example((2, []))
+@example((4, [(0, 1), (2, 3)]))
+@example((5, [(3, 4), (0, 2), (1, 2), (0, 1)]))
+def test_topology_accepts_exactly_the_connected_subsets(case):
+    n, edges = case
+    if _connected_union_find(n, edges):
+        assert Topology(n, tuple(edges)).edges == tuple(sorted(edges))
+    else:
+        with pytest.raises(ValueError, match="not connected"):
+            Topology(n, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_graphs(), st.sampled_from([np.int8, np.uint8, np.int32, np.uint32, np.int64]))
+def test_numpy_integer_edges_come_back_as_python_ints(graph, dtype):
+    given_edges = tuple((dtype(i), dtype(j)) for i, j in graph.edges)
+    edges = Topology(graph.n, given_edges).edges
+    assert edges == graph.edges
+    assert all(type(v) is int for edge in edges for v in edge)
 
 
 # --- file format -------------------------------------------------------
