@@ -371,6 +371,22 @@ def _mean_point_grads(problem, x):
     return _common_point_gradients(problem, x.mean(axis=1))
 
 
+def _mixing_error(g, w):
+    return np.sum((g @ w - g.mean(axis=1, keepdims=True)) ** 2)
+
+
+def _local_bound_excess(problem, x, g_loc, w):
+    """How far ||G(Xbar) W - mean||^2 exceeds its bound 2 ||G(X) W - mean||^2 + 2 L^2 ||X - Xbar||^2.
+
+    G(Xbar) holds every node's gradient at the mean iterate, and G(X) = g_loc
+    each node's gradient at its own iterate.
+    """
+    lhs = _mixing_error(_mean_point_grads(problem, x), w)
+    rhs = 2.0 * _mixing_error(g_loc, w)
+    rhs += 2.0 * problem.smoothness**2 * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
+    return lhs - rhs
+
+
 def gme_drift_over_period() -> CheckResult:
     """Between refreshes the mixing error grows at most by the predicted drift.
 
@@ -386,19 +402,12 @@ def gme_drift_over_period() -> CheckResult:
         grad_sq = [float(np.sum(g**2)) for _, g, _, _ in rec[:steps]]
         for t in range(0, steps - h + 1, h):
             w = rec[t][3]
-            g_now = _mean_point_grads(problem, rec[t][0])
-            g_next = _mean_point_grads(problem, rec[t + h][0])
-            lhs = np.sum((g_next @ w - g_next.mean(axis=1, keepdims=True)) ** 2)
-            base = np.sum((g_now @ w - g_now.mean(axis=1, keepdims=True)) ** 2)
+            lhs = _mixing_error(_mean_point_grads(problem, rec[t + h][0]), w)
+            base = _mixing_error(_mean_point_grads(problem, rec[t][0]), w)
             drift = 2.0 * h * lr_l_sq * sum(grad_sq[t:t + h])
             worst_period = max(worst_period, lhs - 2.0 * base - drift)
-        l_sq = problem.smoothness**2
         for x, g_loc, _, w in rec[:steps]:
-            g_mean = _mean_point_grads(problem, x)
-            lhs = np.sum((g_mean @ w - g_mean.mean(axis=1, keepdims=True)) ** 2)
-            rhs = 2.0 * np.sum((g_loc @ w - g_loc.mean(axis=1, keepdims=True)) ** 2)
-            rhs += 2.0 * l_sq * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
-            worst_local = max(worst_local, lhs - rhs)
+            worst_local = max(worst_local, _local_bound_excess(problem, x, g_loc, w))
     ok = worst_period <= 1e-8 and worst_local <= 1e-8
     return CheckResult(
         "gme_drift_over_period", ok,
@@ -427,12 +436,8 @@ def local_vs_mean_gme() -> CheckResult:
                 x = np.linalg.solve(problem.hess, (g - problem.lin)[:, :, None])[..., 0].T
             else:
                 x = rng.standard_normal((d, n)) * float(rng.uniform(0.3, 3.0))
-            g_mean = _mean_point_grads(problem, x)
-            g_loc = full_gradients(problem, x)
-            lhs = np.sum((g_mean @ w - g_mean.mean(axis=1, keepdims=True)) ** 2)
-            rhs = 2.0 * np.sum((g_loc @ w - g_loc.mean(axis=1, keepdims=True)) ** 2)
-            rhs += 2.0 * problem.smoothness**2 * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
-            worst[equal] = max(worst[equal], lhs - rhs)
+            worst[equal] = max(worst[equal],
+                               _local_bound_excess(problem, x, full_gradients(problem, x), w))
     return CheckResult(
         "local_vs_mean_gme", max(worst.values()) <= 1e-8,
         f"max violation {worst[False]:.3e} over 100 instances, "
@@ -497,13 +502,19 @@ def stochastic_gme_bound() -> CheckResult:
 
 
 def sketch_inner_products() -> CheckResult:
-    """The shared sketch preserves all pairwise inner products at the JL rate."""
+    """The shared sketch preserves all pairwise inner products at the JL rate.
+
+    Each trial sketches the m x m factor R of u = Q R in place of the d x m
+    u. With Q orthonormal, A Q is again i.i.d. Gaussian, so A R has the
+    law of A u and its inner products err as those of A u would, while A
+    is k x m, not k x d.
+    """
     m, delta, eps, d = 16, 0.05, 0.3, 10_000
     k = min(jl_required_dim(m, delta, eps), d)
     failures = 0
     for trial in range(20):
         u = np.random.default_rng(4000 + trial).standard_normal((d, m))
-        s = sketch(u, SketchConfig(k, 8000 + trial))
+        s = sketch(np.linalg.qr(u, mode="r"), SketchConfig(k, 8000 + trial))
         exact = u.T @ u
         est = (s.T @ s) / k
         bound = eps * float(np.diag(exact).max())
@@ -585,31 +596,15 @@ def pairing_cancellation() -> CheckResult:
     )
 
 
-# name -> (function, part of the fast suite?)
-CHECKS: dict[str, tuple] = {
-    "spectral_norm_bound": (spectral_norm_bound, True),
-    "mixing_contraction_bound": (mixing_contraction_bound, True),
-    "replicated_ring_exactness": (replicated_ring_exactness, True),
-    "clique_averaging_exactness": (clique_averaging_exactness, True),
-    "composition_preserves_both": (composition_preserves_both, True),
-    "solver_matches_oracle": (solver_matches_oracle, True),
-    "gme_drift_over_period": (gme_drift_over_period, True),
-    "local_vs_mean_gme": (local_vs_mean_gme, True),
-    "update_identity": (update_identity, True),
-    "stochastic_gme_bound": (stochastic_gme_bound, False),
-    "sketch_inner_products": (sketch_inner_products, False),
-    "sketch_dimension_effect": (sketch_dimension_effect, False),
-    "pairing_cancellation": (pairing_cancellation, False),
-}
+# name -> check function, in the order `hetmix check` runs them
+CHECKS = {fn.__name__: fn for fn in (
+    spectral_norm_bound, mixing_contraction_bound, replicated_ring_exactness,
+    clique_averaging_exactness, composition_preserves_both, solver_matches_oracle,
+    gme_drift_over_period, local_vs_mean_gme, update_identity, stochastic_gme_bound,
+    sketch_inner_products, sketch_dimension_effect, pairing_cancellation,
+)}
 
 
-def run_checks(suite: str = "all") -> list[CheckResult]:
-    """Run the checks of CHECKS, all of them or only the fast suite, in table order."""
-    if suite not in ("all", "fast"):
-        raise ValueError(f"suite must be 'all' or 'fast', got {suite!r}")
-    results = []
-    for name, (fn, fast) in CHECKS.items():
-        if suite == "fast" and not fast:
-            continue
-        results.append(fn())
-    return results
+def run_checks() -> list[CheckResult]:
+    """Run every check of CHECKS, in table order."""
+    return [fn() for fn in CHECKS.values()]

@@ -296,9 +296,9 @@ def cmd_compare(config_a: str, config_b: str) -> int:
     return 0
 
 
-def cmd_check(suite: str = "all") -> int:
-    """Run the property suites; nonzero exit and a named line on any failure."""
-    results = run_checks(suite)
+def cmd_check() -> int:
+    """Run every property check; nonzero exit and a named line on any failure."""
+    results = run_checks()
     failures = 0
     for result in results:
         print(result)
@@ -321,14 +321,13 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="run two configs and compare tails")
     p_cmp.add_argument("config_a")
     p_cmp.add_argument("config_b")
-    p_chk = sub.add_parser("check", help="run the numerical property suites")
-    p_chk.add_argument("suite", nargs="?", choices=("all", "fast"), default="all")
+    sub.add_parser("check", help="run the numerical property checks")
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config)
     if args.command == "compare":
         return cmd_compare(args.config_a, args.config_b)
-    return cmd_check(args.suite)
+    return cmd_check()
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ def _report(num, result, elapsed, capsys, budget=None):
 
 
 def _delegate(num, check_name, capsys, budget=None):
-    fn = CHECKS[check_name][0]
+    fn = CHECKS[check_name]
     t0 = perf_counter()
     result = fn()
     _report(num, result, perf_counter() - t0, capsys, budget)
@@ -94,7 +94,7 @@ def test_08_mixing_error_drift_is_bounded(capsys):
 
 
 def test_09_sketches_preserve_inner_products(capsys):
-    _delegate(9, "sketch_inner_products", capsys, budget=60)
+    _delegate(9, "sketch_inner_products", capsys, budget=5)
 
 
 def test_10_recorded_updates_replay_exactly(capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetmix
+from hetmix.checks import CHECKS
 from hetmix.cli import (
     ConfigError,
     cmd_check,
@@ -424,11 +425,11 @@ def test_compare_reports_a_bad_edge_file(tmp_path, capsys):
 
 # --- check -------------------------------------------------------------
 
-def test_check_fast_suite_passes(capsys):
-    assert cmd_check("fast") == 0
-    out = capsys.readouterr().out
-    assert "PASS spectral_norm_bound" in out
-    assert "FAIL" not in out
+def test_check_passes_every_check(capsys):
+    assert cmd_check() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in out[:-1]] == [f"PASS {name}" for name in CHECKS]
+    assert out[-1] == f"all {len(CHECKS)} checks passed"
 
 
 def test_check_catches_injected_corruption(capsys, monkeypatch):
@@ -438,10 +439,17 @@ def test_check_catches_injected_corruption(capsys, monkeypatch):
     def failing():
         return checks.CheckResult("spectral_norm_bound", False, "planted failure")
 
-    monkeypatch.setattr(checks, "CHECKS", {"spectral_norm_bound": (failing, True)})
-    assert main(["check", "fast"]) == 1
+    monkeypatch.setattr(checks, "CHECKS", {"spectral_norm_bound": failing})
+    assert main(["check"]) == 1
     out = capsys.readouterr().out
     assert "FAIL spectral_norm_bound" in out
+
+
+@pytest.mark.parametrize("suite", ["fast", "all"])
+def test_check_takes_no_suite(suite):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", suite])
+    assert exc.value.code == 2
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):

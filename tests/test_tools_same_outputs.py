@@ -25,14 +25,14 @@ def _tree(root, files):
 
 
 _FILES = {"adaptive_rep0.csv": b"step,loss\n0,1.5\n", "run.stdout": b"ok\n",
-          "sub/check_all.exit": b"0\n"}
+          "sub/check.exit": b"0\n"}
 
 
 def test_identical_trees_are_the_same(tmp_path):
     lines, same = compare(_tree(tmp_path / "a", _FILES), _tree(tmp_path / "b", _FILES))
     assert same
     assert lines == ["adaptive_rep0.csv: same (16 bytes)", "run.stdout: same (3 bytes)",
-                     "sub/check_all.exit: same (2 bytes)"]
+                     "sub/check.exit: same (2 bytes)"]
 
 
 def test_one_changed_byte_is_located(tmp_path):
@@ -40,7 +40,7 @@ def test_one_changed_byte_is_located(tmp_path):
     lines, same = compare(_tree(tmp_path / "a", _FILES), _tree(tmp_path / "b", changed))
     assert not same
     assert lines[0] == "adaptive_rep0.csv: differs at byte 14"
-    assert lines[1:] == ["run.stdout: same (3 bytes)", "sub/check_all.exit: same (2 bytes)"]
+    assert lines[1:] == ["run.stdout: same (3 bytes)", "sub/check.exit: same (2 bytes)"]
     # a file that is a prefix of the other differs where the shorter one ends
     longer = dict(_FILES, **{"run.stdout": b"ok\nmore\n"})
     lines, same = compare(_tree(tmp_path / "c", _FILES), _tree(tmp_path / "d", longer))

@@ -5,11 +5,12 @@ compare their outputs byte for byte.
 
 In each checkout, with PYTHONPATH=<checkout>/src, the script runs
 `python -m hetmix.cli run` on each configs/random16_*.conf, through a copy
-whose `out` is a temporary directory, and `python -m hetmix.cli check all`.
-Each command's printed output and exit code are kept as files beside the
-CSVs it wrote. It then compares every file of the two sides byte for byte,
-prints one line per file (same, the first differing byte, or missing on
-one side) and exits 1 on any difference. Standard library only.
+whose `out` is a temporary directory, and `python -m hetmix.cli check`,
+which runs every property check. Each command's printed output and exit
+code are kept as files beside the CSVs it wrote. It then compares every
+file of the two sides byte for byte, prints one line per file (same, the
+first differing byte, or missing on one side) and exits 1 on any
+difference. Standard library only.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def collect(root: str, out: str) -> None:
             fh.write(text)
         _run(root, ["run", conf], out, f"run_{name}")
         os.remove(conf)
-    _run(root, ["check", "all"], out, "check_all")
+    _run(root, ["check"], out, "check")
 
 
 def _files(root: str) -> set:
