@@ -15,7 +15,7 @@ import os
 from math import isfinite, sqrt
 
 from .checks import run_checks
-from .mixing import metropolis_hastings, pairing_matrix
+from .mixing import metropolis_hastings
 from .objectives import (
     TWO_CLASS_NODES,
     make_random_quadratics,
@@ -71,19 +71,10 @@ _OBJECTIVES = {
 }
 
 
-def _decoupled(cfg, topology, run_cfg):
-    pairs = pairing_matrix(topology.n)
-    if topology.off_support(pairs.w) is not None:
-        raise ConfigError("decoupled pairing needs edges (2k, 2k+1) in the graph")
-    return _fixed(_builder(cfg, "weights")(topology), pairs)
-
-
-# each builds one repetition's matrices_for_step from its topology and
-# RunConfig; decoupled raises ConfigError where the graph lacks a pairing edge
+# each builds one repetition's matrices_for_step from its topology and RunConfig
 _ALGORITHMS = {
     "dsgd": ((), lambda cfg, topology, run_cfg: _fixed(_builder(cfg, "weights")(topology))),
     "hadsgd": ((), lambda cfg, topology, run_cfg: _refreshed(topology, run_cfg)),
-    "decoupled": ((), _decoupled),
 }
 # each key that picks a builder: its table, and its choice when the key is
 # absent (None where the key is required); weights are the fixed matrix of
@@ -148,11 +139,8 @@ def _validate_values(values: dict) -> None:
         for need in table[choice][0]:
             if need not in values:
                 raise ConfigError(f"{key} {choice!r} needs key {need!r}")
-    obj = values["objective"]
-    if obj == "two_class" and values.get("n", TWO_CLASS_NODES) != TWO_CLASS_NODES:
+    if values["objective"] == "two_class" and values.get("n", TWO_CLASS_NODES) != TWO_CLASS_NODES:
         raise ConfigError(f"objective 'two_class' fixes n = {TWO_CLASS_NODES}")
-    if values["algorithm"] == "decoupled" and obj != "two_class":
-        raise ConfigError("algorithm 'decoupled' is only wired up for objective 'two_class'")
     positive = ("d", "reps", "rows", "cols", "m", "replicate_period")
     for key in positive:
         if key in values and values[key] < 1:
@@ -265,7 +253,9 @@ def cmd_run(config_path: str) -> int:
 
 
 _COMPARE_METRICS = ("dist_to_opt_w", "consensus_w", "gme_w")
-_SHARED_KEYS = ("topology", "objective", "n", "d", "steps", "seed", "noise_var")
+# keys that set the instances and the runs' lengths; compare notes each that differs
+_SHARED_KEYS = ("topology", "objective", "n", "d", "steps", "seed", "noise_var", "keep_fraction",
+                "m", "rows", "cols", "edge_file", "replicate_period", "reps")
 
 
 def _tail_means(cfg: dict) -> dict:

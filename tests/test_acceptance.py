@@ -2,10 +2,13 @@
 single pass/fail line with its measured runtime.
 
 Most criteria delegate to the property checks in hetmix.checks, which
-keep their own oracles; the first one runs the head-to-head experiment
-the package exists for.
+keep their own oracles, each check to exactly one criterion; the first one
+runs the head-to-head experiment the package exists for.
 """
 
+import ast
+from collections import Counter
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -107,3 +110,20 @@ def test_11_tiny_sketches_degrade_gracefully(capsys):
 
 def test_12_paired_two_class_ring_beats_random_placement(capsys):
     _delegate(12, "pairing_cancellation", capsys, budget=60)
+
+
+def test_13_mean_point_error_is_bounded_by_local_error_and_consensus(capsys):
+    _delegate(13, "local_vs_mean_gme", capsys, budget=10)
+
+
+def test_14_noise_optimized_matrices_control_the_exact_error(capsys):
+    _delegate(14, "stochastic_gme_bound", capsys, budget=10)
+
+
+def test_every_check_has_exactly_one_acceptance_test():
+    """Each name of CHECKS is delegated to once in this file, so tier-1 runs
+    every check of `hetmix check` exactly once."""
+    calls = [node for node in ast.walk(ast.parse(Path(__file__).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_delegate"]
+    delegated = Counter(call.args[1].value for call in calls)
+    assert delegated == dict.fromkeys(CHECKS, 1)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetmix
-from hetmix.checks import CHECKS
 from hetmix.cli import (
     ConfigError,
     cmd_check,
@@ -22,7 +21,7 @@ from hetmix.cli import (
     main,
     parse_config,
 )
-from hetmix.mixing import metropolis_hastings, pairing_matrix
+from hetmix.mixing import metropolis_hastings
 from hetmix.objectives import make_random_quadratics, make_two_class_ring
 from hetmix.simulator import RunConfig, run_dsgd, run_hadsgd
 from hetmix.topology import build_random_connected, build_ring
@@ -125,7 +124,8 @@ def test_parse_rejects_missing_required_and_structural_gaps():
     torus = _BASE.format(out="/tmp/x").replace("topology = ring", "topology = torus")
     with pytest.raises(ConfigError, match="rows"):
         parse_config(torus)
-    with pytest.raises(ConfigError, match="decoupled"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "algorithm must be one of ('dsgd', 'hadsgd'), got 'decoupled'")):
         parse_config(_BASE.format(out="/tmp/x").replace(
             "algorithm = dsgd", "algorithm = decoupled"))
     with pytest.raises(ConfigError, match="16"):
@@ -194,6 +194,16 @@ def test_run_rejects_the_deleted_alternate_key(tmp_path, capsys):
     assert cmd_run(_write(tmp_path, text)) == 2
     lineno = len(text.splitlines())
     assert capsys.readouterr().out == f"config error: line {lineno}: unknown key 'alternate'\n"
+    assert not (tmp_path / "a").exists()
+
+
+def test_run_rejects_the_deleted_decoupled_algorithm(tmp_path, capsys):
+    # run_dsgd(w_grads=) still mixes gradients with a second matrix; no config picks it
+    text = _set_keys(_BASE.format(out=tmp_path / "a"),
+                     {"algorithm": "decoupled", "objective": "two_class", "n": "16"})
+    assert cmd_run(_write(tmp_path, text)) == 2
+    assert capsys.readouterr().out == (
+        "config error: algorithm must be one of ('dsgd', 'hadsgd'), got 'decoupled'\n")
     assert not (tmp_path / "a").exists()
 
 
@@ -289,14 +299,16 @@ def test_run_writes_the_repetitions_before_a_divergent_one(tmp_path, capsys):
 
 @st.composite
 def _batched_configs(draw):
-    algorithm = draw(st.sampled_from(["dsgd", "decoupled", "hadsgd"]))
+    # two_class fixes a ring of 16 nodes
+    objective, algorithm = draw(st.sampled_from(
+        [("random", "dsgd"), ("two_class", "dsgd"), ("random", "hadsgd")]))
     steps = draw(st.integers(1, 3 * 64).filter(lambda s: s % 64))
-    if algorithm == "decoupled":
-        keys = {"objective": "two_class", "topology": "ring", "n": 16}
+    if objective == "two_class":
+        keys = {"topology": "ring", "n": 16}
     else:
-        keys = {"objective": "random", "topology": draw(st.sampled_from(["ring", "random"])),
+        keys = {"topology": draw(st.sampled_from(["ring", "random"])),
                 "n": draw(st.integers(3, 8))}
-    keys.update(algorithm=algorithm, steps=steps, d=draw(st.integers(1, 5)),
+    keys.update(objective=objective, algorithm=algorithm, steps=steps, d=draw(st.integers(1, 5)),
                 noise_var=draw(st.sampled_from([0.0, 0.01, 0.3])),
                 reps=draw(st.integers(1, 3)), seed=draw(st.integers(0, 1000)),
                 window=draw(st.integers(1, 7)), period=draw(st.integers(5, 60)))
@@ -318,8 +330,7 @@ def _alone(keys, rep):
                     noise_seed=seed + 10_000 + rep)
     if keys["algorithm"] == "hadsgd":
         return run_hadsgd(problem, graph, cfg)
-    pairs = pairing_matrix(n) if keys["algorithm"] == "decoupled" else None
-    return run_dsgd(problem, graph, metropolis_hastings(graph), cfg, w_grads=pairs)
+    return run_dsgd(problem, graph, metropolis_hastings(graph), cfg)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -407,6 +418,20 @@ def test_compare_prints_metrics_side_by_side(tmp_path, capsys):
             assert ("<" in line) or (">" in line) or ("=" in line)
 
 
+def test_compare_notes_configs_that_set_different_instances(tmp_path, capsys):
+    def notes(conf_a, conf_b, **changes):
+        texts = (_reference(conf_a, tmp_path / "a", steps=200, reps=1),
+                 _reference(conf_b, tmp_path / "b", steps=200, reps=1, **changes))
+        paths = [_write(tmp_path, text, f"{i}.cfg") for i, text in enumerate(texts)]
+        assert cmd_compare(*paths) == 0
+        return [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("note:")]
+
+    assert notes("random16_baseline.conf", "random16_baseline.conf", keep_fraction=0.9) == [
+        "note: configs differ on 'keep_fraction' (0.5 vs 0.9)"]
+    # the reference pair runs the same instances
+    assert notes("random16_adaptive.conf", "random16_baseline.conf") == []
+
+
 def test_compare_propagates_parse_failures(tmp_path):
     good = _write(tmp_path, _BASE.format(out=tmp_path / "x"))
     bad = _write(tmp_path, "name = broken\n", "bad.cfg")
@@ -425,11 +450,19 @@ def test_compare_reports_a_bad_edge_file(tmp_path, capsys):
 
 # --- check -------------------------------------------------------------
 
-def test_check_passes_every_check(capsys):
+def test_check_passes_every_check(capsys, monkeypatch):
+    # a planted table stands in for the real checks, which test_acceptance.py runs
+    import hetmix.checks as checks
+
+    planted = {name: (lambda name=name: checks.CheckResult(name, True, f"{name} held"))
+               for name in ("spectral_norm_bound", "update_identity")}
+    monkeypatch.setattr(checks, "CHECKS", planted)
     assert cmd_check() == 0
-    out = capsys.readouterr().out.splitlines()
-    assert [ln.split(":")[0] for ln in out[:-1]] == [f"PASS {name}" for name in CHECKS]
-    assert out[-1] == f"all {len(CHECKS)} checks passed"
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS spectral_norm_bound: spectral_norm_bound held",
+        "PASS update_identity: update_identity held",
+        "all 2 checks passed",
+    ]
 
 
 def test_check_catches_injected_corruption(capsys, monkeypatch):
