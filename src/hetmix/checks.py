@@ -146,10 +146,18 @@ def _random_permutation(topology: Topology, rng: np.random.Generator) -> np.ndar
 
 
 def _random_gme_output(topology: Topology, rng: np.random.Generator) -> MixingMatrix:
-    # feasibility of the output is what matters here, not convergence depth
     g = rng.standard_normal((int(rng.integers(2, 7)), topology.n))
-    params = GmeSolverParams(max_iters=60, tol=1e-6)
-    return solve_gme(gram(center_columns(g)), topology, params)
+    return solve_gme(gram(center_columns(g)), topology)
+
+
+def _random_instance(rng: np.random.Generator):
+    """A random problem on 4 to 8 nodes and a random feasible W on a random graph."""
+    n = int(rng.integers(4, 9))
+    d = int(rng.integers(3, 7))
+    problem = make_random_quadratics(n, d, d, seed=int(rng.integers(1 << 30)))
+    graph = build_random_connected(n, float(rng.uniform(0.4, 1.0)),
+                                   int(rng.integers(1 << 30)))
+    return problem, _random_feasible(graph, rng)
 
 
 def _example1_gradients(rng: np.random.Generator, d: int = 10) -> np.ndarray:
@@ -162,43 +170,43 @@ def _example1_gradients(rng: np.random.Generator, d: int = 10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # recorded runs
 
-def _recording(matrices_for_step, steps: list):
-    """matrices_for_step, appending each call's (X, G, Wp, Wg) to steps.
+def _recording(matrix_for_step, steps: list):
+    """matrix_for_step, appending each call's (X, G, W) to steps.
 
     It keeps references, not copies: _simulate never writes an X or G
     after passing it to the hook, and no hook writes the matrices it returns.
     """
     def hook(t, x, g):
-        wp, wg = matrices_for_step(t, x, g)
-        steps.append((x, g, wp, wg))
-        return wp, wg
+        w = matrix_for_step(t, x, g)
+        steps.append((x, g, w))
+        return w
 
     return hook
 
 
-def _record(problem, topology, cfg, matrices_for_step) -> list:
-    """(X, G, Wp, Wg) of each of cfg.steps steps, and one more entry whose X follows the last.
+def _record(problem, topology, cfg, matrix_for_step) -> list:
+    """(X, G, W) of each of cfg.steps steps, and one more entry whose X follows the last.
 
     The run takes cfg.steps + 1 steps, so the hook sees the last step's next X.
     """
     steps = []
     _simulate_one((problem, topology, replace(cfg, steps=cfg.steps + 1),
-                   _recording(matrices_for_step, steps)))
+                   _recording(matrix_for_step, steps)))
     return steps
 
 
 def check_update_identity(steps: list, lr: float) -> float:
     """Largest scaled residual of the update identity over recorded steps.
 
-    Recomputes X^{t+1} = X^t Wp - lr G Wg from the recorded inputs of
+    Recomputes X^{t+1} = X^t W - lr G W from the recorded inputs of
     every step and compares against the next entry's X. Residuals are
     scaled by the magnitudes entering the identity; a faithful record
     stays at roundoff level regardless of how accurately the matrices
     themselves are doubly stochastic.
     """
     worst = 0.0
-    for (x0, g, wp, wg), (x1, *_) in zip(steps, steps[1:]):
-        pred = x0 @ wp - lr * (g @ wg)
+    for (x0, g, w), (x1, *_) in zip(steps, steps[1:]):
+        pred = x0 @ w - lr * (g @ w)
         scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(x1) + lr * np.linalg.norm(g)
         worst = max(worst, float(np.linalg.norm(x1 - pred)) / scale)
     return worst
@@ -229,13 +237,8 @@ def mixing_contraction_bound() -> CheckResult:
     rng = np.random.default_rng(202)
     worst = -np.inf
     for _ in range(100):
-        n = int(rng.integers(4, 9))
-        d = int(rng.integers(3, 7))
-        problem = make_random_quadratics(n, d, d, seed=int(rng.integers(1 << 30)))
-        graph = build_random_connected(n, float(rng.uniform(0.4, 1.0)),
-                                       int(rng.integers(1 << 30)))
-        w = _random_feasible(graph, rng)
-        x = rng.standard_normal(d) * float(rng.uniform(0.5, 3.0))
+        problem, w = _random_instance(rng)
+        x = rng.standard_normal(problem.d) * float(rng.uniform(0.5, 3.0))
         dev_sq = deviation_operator_norm(w) ** 2
         gap = relative_zeta_sq_at(problem, x, w) - dev_sq * zeta_sq_at(problem, x)
         worst = max(worst, gap)
@@ -334,7 +337,7 @@ def solver_matches_oracle() -> CheckResult:
     )
 
 
-def _mean_point_run(problem, graph, cfg, params):
+def _mean_point_run(problem, graph, cfg):
     """Recorded steps of a noiseless problem with the mean-point refresh of the drift checks.
 
     Every cfg.period steps the matrix is re-solved from the exact gradients
@@ -342,13 +345,13 @@ def _mean_point_run(problem, graph, cfg, params):
     """
     state = {}
 
-    def matrices(t, x, g):
+    def matrix(t, x, g):
         if t % cfg.period == 0:
             gamma = gram(center_columns(_mean_point_grads(problem, x)))
-            state["w"] = solve_gme(gamma, graph, params).w
-        return state["w"], state["w"]
+            state["w"] = solve_gme(gamma, graph).w
+        return state["w"]
 
-    return _record(problem, graph, cfg, matrices)
+    return _record(problem, graph, cfg, matrix)
 
 
 def _drift_trajectories():
@@ -361,10 +364,7 @@ def _drift_trajectories():
         graph = (build_ring(8) if seed % 2 else
                  build_random_connected(8, 0.5, seed=seed + 50))
         cfg = RunConfig(steps=steps, lr=0.1 / problem.smoothness, period=period)
-        # the drift bound holds for whichever feasible matrix the refresh
-        # produces, so a shallow solve is enough
-        yield problem, cfg, _mean_point_run(problem, graph, cfg,
-                                            GmeSolverParams(max_iters=60, tol=1e-6))
+        yield problem, cfg, _mean_point_run(problem, graph, cfg)
 
 
 def _mean_point_grads(problem, x):
@@ -399,14 +399,14 @@ def gme_drift_over_period() -> CheckResult:
         lr_l_sq = (cfg.lr * problem.smoothness) ** 2
         h = cfg.period
         steps = cfg.steps
-        grad_sq = [float(np.sum(g**2)) for _, g, _, _ in rec[:steps]]
+        grad_sq = [float(np.sum(g**2)) for _, g, _ in rec[:steps]]
         for t in range(0, steps - h + 1, h):
-            w = rec[t][3]
+            w = rec[t][2]
             lhs = _mixing_error(_mean_point_grads(problem, rec[t + h][0]), w)
             base = _mixing_error(_mean_point_grads(problem, rec[t][0]), w)
             drift = 2.0 * h * lr_l_sq * sum(grad_sq[t:t + h])
             worst_period = max(worst_period, lhs - 2.0 * base - drift)
-        for x, g_loc, _, w in rec[:steps]:
+        for x, g_loc, w in rec[:steps]:
             worst_local = max(worst_local, _local_bound_excess(problem, x, g_loc, w))
     ok = worst_period <= 1e-8 and worst_local <= 1e-8
     return CheckResult(
@@ -425,19 +425,14 @@ def local_vs_mean_gme() -> CheckResult:
     for seed, count, equal in ((707, 100, False), (2929, 50, True)):
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            n = int(rng.integers(4, 9))
-            d = int(rng.integers(3, 7))
-            problem = make_random_quadratics(n, d, d, seed=int(rng.integers(1 << 30)))
-            graph = build_random_connected(n, float(rng.uniform(0.4, 1.0)),
-                                           int(rng.integers(1 << 30)))
-            w = _random_feasible(graph, rng).w
+            problem, w = _random_instance(rng)
             if equal:
-                g = rng.standard_normal(d) * float(rng.uniform(0.3, 3.0))
+                g = rng.standard_normal(problem.d) * float(rng.uniform(0.3, 3.0))
                 x = np.linalg.solve(problem.hess, (g - problem.lin)[:, :, None])[..., 0].T
             else:
-                x = rng.standard_normal((d, n)) * float(rng.uniform(0.3, 3.0))
+                x = rng.standard_normal((problem.d, problem.n)) * float(rng.uniform(0.3, 3.0))
             worst[equal] = max(worst[equal],
-                               _local_bound_excess(problem, x, full_gradients(problem, x), w))
+                               _local_bound_excess(problem, x, full_gradients(problem, x), w.w))
     return CheckResult(
         "local_vs_mean_gme", max(worst.values()) <= 1e-8,
         f"max violation {worst[False]:.3e} over 100 instances, "
@@ -451,19 +446,19 @@ def update_identity() -> CheckResult:
     problem = make_random_quadratics(8, 5, 5, seed=21, noise_std=0.3)
     mh = metropolis_hastings(graph).w
     cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, noise_seed=3)
-    rec1 = _record(problem, graph, cfg, lambda t, x, g: (mh, mh))
+    rec1 = _record(problem, graph, cfg, lambda t, x, g: mh)
     hcfg = RunConfig(steps=60, lr=0.1 / problem.smoothness, period=20, sketch_dim=16,
                      noise_seed=4)
     rec2 = _record(problem, graph, hcfg, _refreshed(graph, hcfg))
     two_class = make_two_class_ring(6, seed=5)
     ring16 = build_ring(16)
-    mh16, pairs = metropolis_hastings(ring16).w, pairing_matrix(16).w
+    pairs = pairing_matrix(16).w
     dcfg = RunConfig(steps=40, lr=0.1 / two_class.smoothness, noise_seed=6)
-    rec3 = _record(two_class, ring16, dcfg, lambda t, x, g: (mh16, pairs))
+    rec3 = _record(two_class, ring16, dcfg, lambda t, x, g: pairs)
     resid = max(check_update_identity(rec, c.lr)
                 for rec, c in ((rec1, cfg), (rec2, hcfg), (rec3, dcfg)))
-    x, g, wp, wg = rec1[3]
-    doctored = rec1[:3] + [(x, g, np.full_like(wp, 1.0 / graph.n), wg)] + rec1[4:]
+    x, g, w = rec1[3]
+    doctored = rec1[:3] + [(x, g, np.full_like(w, 1.0 / graph.n))] + rec1[4:]
     caught = check_update_identity(doctored, cfg.lr) > 1e-6
     ok = resid <= 1e-10 and caught
     return CheckResult(
@@ -566,15 +561,13 @@ def pairing_cancellation() -> CheckResult:
     graph = build_ring(16)
     pairs = pairing_matrix(16)
     problem = make_two_class_ring(10, seed=41)
-    assert graph.off_support(pairs.w) is None
     rng = np.random.default_rng(42)
     worst_zeta = max(
         relative_zeta_sq_at(problem, rng.standard_normal(10), pairs)
         for _ in range(10)
     )
     cfg = RunConfig(steps=60, lr=0.1 / problem.smoothness)
-    exact = run_dsgd(replace(problem, noise_std=0.0), graph, metropolis_hastings(graph),
-                     cfg, w_grads=pairs)
+    exact = run_dsgd(replace(problem, noise_std=0.0), graph, pairs, cfg)
     worst_gme = float(exact.gme.max())
     mh = metropolis_hastings(graph)
     wins = 0

@@ -71,7 +71,7 @@ _OBJECTIVES = {
 }
 
 
-# each builds one repetition's matrices_for_step from its topology and RunConfig
+# each builds one repetition's matrix_for_step from its topology and RunConfig
 _ALGORITHMS = {
     "dsgd": ((), lambda cfg, topology, run_cfg: _fixed(_builder(cfg, "weights")(topology))),
     "hadsgd": ((), lambda cfg, topology, run_cfg: _refreshed(topology, run_cfg)),
@@ -173,7 +173,7 @@ def _builder(cfg: dict, key: str):
 
 
 def _repetition(cfg: dict, rep: int) -> tuple:
-    """The (problem, topology, run config, matrices_for_step) of one repetition."""
+    """The (problem, topology, run config, matrix_for_step) of one repetition."""
     seed = cfg["seed"]
     data_seed = seed + rep
     try:

@@ -18,6 +18,8 @@ from math import sqrt
 
 import numpy as np
 
+from .mixing import MixingMatrix
+
 __all__ = [
     "Problem",
     "make_random_quadratics",
@@ -209,12 +211,8 @@ def zeta_sq_at(problem: Problem, x: np.ndarray) -> float:
     return float(np.sum((g - g.mean(axis=1, keepdims=True)) ** 2)) / problem.n
 
 
-def relative_zeta_sq_at(problem: Problem, x: np.ndarray, w) -> float:
-    """Post-mixing heterogeneity at x: (1/n) ||grad f(x 1^T) W - mean||_F^2.
-
-    Accepts a MixingMatrix or a plain array for w.
-    """
-    arr = w.w if hasattr(w, "w") else np.asarray(w, dtype=float)
+def relative_zeta_sq_at(problem: Problem, x: np.ndarray, w: MixingMatrix) -> float:
+    """Post-mixing heterogeneity at x: (1/n) ||grad f(x 1^T) W - mean||_F^2."""
     g = _common_point_gradients(problem, x)
-    mixed = g @ arr - g.mean(axis=1, keepdims=True)
+    mixed = g @ w.w - g.mean(axis=1, keepdims=True)
     return float(np.sum(mixed**2)) / problem.n

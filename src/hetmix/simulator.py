@@ -1,16 +1,16 @@
 """Decentralized SGD runners with per-step metrics.
 
-Every runner applies X <- X Wp - eta G Wg by right multiplication,
-starting from X = 0: Wp mixes the parameters and Wg the stochastic
-gradients G. Metrics are recorded before each update from the step's own
-state, gradients, and gradient-mixing matrix.
+Every runner applies X <- X W - eta G W by right multiplication,
+starting from X = 0: the step's one mixing matrix W mixes the parameters
+and the stochastic gradients G. Metrics are recorded before each update
+from the step's own state, gradients, and mixing matrix.
 
 One step loop runs any number of runs, such as the repetitions of a
 config, side by side along a leading repetition axis (see _simulate);
 each run keeps the bits it gets alone.
 
 Each step makes one gradient product, G = H X + (noise + c) on the
-problems' cached Hessians (see objectives), and writes X, G and G Wg
+problems' cached Hessians (see objectives), and writes X, G and G W
 into fresh per-chunk buffers without copying them. The step loop makes
 no metric reduction: the five metrics of every _CHUNK steps are computed
 together, for all runs at once, with batched reductions that keep the
@@ -87,8 +87,8 @@ class MetricsLog:
     """Per-step series (length = steps), plus trailing-window averages.
 
     gme is the squared gap ||G W - Gbar||_F^2 for the step's own gradient
-    matrix and applied gradient-mixing matrix; dist_to_opt averages
-    per-node distances while dist_to_opt_mean is the distance of the mean.
+    matrix and mixing matrix; dist_to_opt averages per-node distances
+    while dist_to_opt_mean is the distance of the mean.
     """
 
     step: np.ndarray
@@ -122,7 +122,7 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
 
 def _chunk_metrics(problems, rows: list, x, g, gw, cols: dict, lo: int) -> None:
     """Fill cols[name][rows, lo:lo + T] from T buffered steps of the runs
-    problems[r] for r in rows: states x, gradients g and g @ Wg of shape
+    problems[r] for r in rows: states x, gradients g and g @ W of shape
     (R, T, d, n).
 
     Each line is the per-step formula with leading run and step axes,
@@ -149,9 +149,9 @@ def _chunk_metrics(problems, rows: list, x, g, gw, cols: dict, lo: int) -> None:
 
 
 def _simulate(runs: list) -> list:
-    """Run X <- X Wp - eta G Wg on each run and return the runs' outcomes, in order.
+    """Run X <- X W - eta G W on each run and return the runs' outcomes, in order.
 
-    runs holds (problem, topology, cfg, matrices_for_step) tuples, whose
+    runs holds (problem, topology, cfg, matrix_for_step) tuples, whose
     problems share their shapes and whose configs share cfg.steps. Their
     states stack along a leading repetition axis, X of shape (R, d, n), and
     every step advances all of them at once:
@@ -161,16 +161,16 @@ def _simulate(runs: list) -> list:
       constant term c, or with c alone if problem.noise_std is 0. A noisy
       run draws the noise of the chunk at once, as (T, d, n), which gives
       the bits of T draws of (d, n);
-    - each run's hook is called as matrices_for_step(t, X[r], G[r]). Each
-      chunk's X, G and G Wg buffers are fresh, each step writes its own
-      slot of them, and nothing writes a slot again, so a hook may keep its
-      views to record the run. X's buffer has a slot more, which takes the
-      chunk's last update and is copied into the next chunk's first slot.
-      A hook must never write a matrix it has returned: the (Wp, Wg) it
-      returns are copied into (R, n, n) stacks only when they are other
-      objects than it returned at the step before;
-    - G Wg (for the gme metric and the update) and the update are one
-      stacked product each, written into their next buffer slots, and the
+    - each run's hook is called as matrix_for_step(t, X[r], G[r]) and
+      returns the step's W. Each chunk's X, G and G W buffers are fresh,
+      each step writes its own slot of them, and nothing writes a slot
+      again, so a hook may keep its views to record the run. X's buffer
+      has a slot more, which takes the chunk's last update and is copied
+      into the next chunk's first slot. A hook must never write a matrix
+      it has returned: the W it returns is copied into an (R, n, n) stack
+      only when it is another object than it returned at the step before;
+    - G W (for the gme metric and the update) and X W are one stacked
+      product each, written into their next buffer slots, and the
       divergence test is one pass over the new X.
     _chunk_metrics reduces the buffers of all live runs every _CHUNK steps
     and after the last step. The stacked products run the same per-matrix
@@ -206,9 +206,9 @@ def _simulate(runs: list) -> list:
     size = min(_CHUNK, steps)
     offset = np.empty((len(runs), size, d, n))
     offset[:] = np.stack([problem.lin.T for problem in problems])[:, None]
-    wps, wgs = np.empty((len(runs), n, n)), np.empty((len(runs), n, n))
+    ws = np.empty((len(runs), n, n))
     scratch = np.empty((len(runs), d, n))
-    last = [(None, None)] * len(runs)  # each row's (Wp, Wg) objects in wps and wgs
+    last = [None] * len(runs)  # each row's W object in ws
     xs = np.zeros((len(runs), size + 1, d, n))  # slot k + 1 takes step k's update
     for t in range(steps):
         k = t % size
@@ -227,19 +227,16 @@ def _simulate(runs: list) -> list:
         failed = {}
         for i, r in enumerate(live):
             try:
-                wp, wg = hooks[r](t, x[i], g[i])
+                w = hooks[r](t, x[i], g[i])
             except ArithmeticError as exc:
                 failed[i] = exc
                 continue
-            if wp is not last[i][0]:
-                wps[i] = wp
-            if wg is not last[i][1]:
-                wgs[i] = wg
-            last[i] = wp, wg
+            if w is not last[i]:
+                ws[i] = last[i] = w
         for i in failed:
-            wps[i] = wgs[i] = 0.0  # keeps its row finite until it leaves below
-        gw = np.matmul(g, wgs, out=gws[:, k])
-        nxt = np.matmul(x, wps, out=xs[:, k + 1])
+            ws[i] = 0.0  # keeps its row finite until it leaves below
+        gw = np.matmul(g, ws, out=gws[:, k])
+        nxt = np.matmul(x, ws, out=xs[:, k + 1])
         nxt -= np.multiply(lr, gw, out=scratch)
         if not np.abs(nxt, out=scratch).max() <= _DIVERGE_LIMIT:
             big = np.abs(nxt).max(axis=(1, 2))
@@ -253,8 +250,8 @@ def _simulate(runs: list) -> list:
             last = [last[i] for i in keep]
             if not live:
                 break
-            hess, lr, xs, gs, gws, offset, wps, wgs, scratch = (
-                v[keep] for v in (hess, lr, xs, gs, gws, offset, wps, wgs, scratch))
+            hess, lr, xs, gs, gws, offset, ws, scratch = (
+                v[keep] for v in (hess, lr, xs, gs, gws, offset, ws, scratch))
         if k == size - 1 or t == steps - 1:
             _chunk_metrics(problems, live, xs[:, :k + 1], gs[:, :k + 1], gws[:, :k + 1],
                            cols, t - k)
@@ -269,11 +266,10 @@ def _simulate(runs: list) -> list:
     return outcomes
 
 
-def _fixed(w: MixingMatrix, w_grads: MixingMatrix | None = None):
-    """The matrices_for_step of run_dsgd: Wp = W at every step, and Wg = W unless w_grads."""
-    wp = w.w
-    wg = wp if w_grads is None else w_grads.w
-    return lambda t, x, g: (wp, wg)
+def _fixed(w: MixingMatrix):
+    """The matrix_for_step of run_dsgd: W at every step."""
+    mat = w.w
+    return lambda t, x, g: mat
 
 
 def _simulate_one(run) -> MetricsLog:
@@ -284,32 +280,29 @@ def _simulate_one(run) -> MetricsLog:
     return result
 
 
-def run_dsgd(
-    problem: Problem,
-    topology: Topology,
-    w: MixingMatrix,
-    cfg: RunConfig,
-    *,
-    w_grads: MixingMatrix | None = None,
-) -> MetricsLog:
-    """Fixed mixing: X <- X W - eta G Wg, with Wg = W unless w_grads splits them."""
-    return _simulate_one((problem, topology, cfg, _fixed(w, w_grads)))
+def run_dsgd(problem: Problem, topology: Topology, w: MixingMatrix, cfg: RunConfig) -> MetricsLog:
+    """Fixed mixing: X <- X W - eta G W at every step.
+
+    Raises ValueError if w has weight off the topology's edges and diagonal.
+    """
+    off = topology.off_support(w.w)
+    if off is not None:
+        raise ValueError(f"w has weight {w.w[off]:.3g} off the graph at {off}")
+    return _simulate_one((problem, topology, cfg, _fixed(w)))
 
 
 def _refreshed(topology: Topology, cfg: RunConfig):
-    """The matrices_for_step of run_hadsgd, whose docstring gives the schedule."""
+    """The matrix_for_step of run_hadsgd, whose docstring gives the schedule."""
     mh = w = metropolis_hastings(topology).w
 
-    def matrices(t, x, g):
+    def matrix(t, x, g):
         nonlocal w
         if t % cfg.period == 0:
             scfg = SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // cfg.period)
             w = ce_gme(g, topology, scfg).w
-        if t % cfg.period % 2 == 1:
-            return mh, mh
-        return w, w
+        return mh if t % cfg.period % 2 == 1 else w
 
-    return matrices
+    return matrix
 
 
 def run_hadsgd(problem: Problem, topology: Topology, cfg: RunConfig) -> MetricsLog:

@@ -198,7 +198,7 @@ def test_run_rejects_the_deleted_alternate_key(tmp_path, capsys):
 
 
 def test_run_rejects_the_deleted_decoupled_algorithm(tmp_path, capsys):
-    # run_dsgd(w_grads=) still mixes gradients with a second matrix; no config picks it
+    # every run mixes X and G with one matrix per step; no config splits them
     text = _set_keys(_BASE.format(out=tmp_path / "a"),
                      {"algorithm": "decoupled", "objective": "two_class", "n": "16"})
     assert cmd_run(_write(tmp_path, text)) == 2

@@ -22,6 +22,7 @@ from hetmix.simulator import (
     DivergenceError,
     MetricsLog,
     RunConfig,
+    _fixed,
     _refreshed,
     _simulate,
     _simulate_one,
@@ -54,23 +55,18 @@ _X_METRICS = ("dist_to_opt", "dist_to_opt_mean", "consensus", "loss")
 
 def _per_step_metrics(problem, steps):
     """The metric lines of the simulator's step loop before it buffered
-    steps, evaluated on recorded (X, G, Wp, Wg) steps."""
+    steps, evaluated on recorded (X, G, W) steps."""
     n = problem.n
     x_star = problem.x_star.reshape(-1, 1)
     cols = {name: [] for name in (*_X_METRICS, "gme")}
-    for x, g, _, wg in steps:
+    for x, g, w in steps:
         mean = x.mean(axis=1, keepdims=True)
         cols["dist_to_opt"].append(np.linalg.norm(x - x_star, axis=0).mean())
         cols["dist_to_opt_mean"].append(np.linalg.norm(mean - x_star))
         cols["consensus"].append(np.sum((x - mean) ** 2) / n)
-        cols["gme"].append(np.sum((g @ wg - g.mean(axis=1, keepdims=True)) ** 2))
+        cols["gme"].append(np.sum((g @ w - g.mean(axis=1, keepdims=True)) ** 2))
         cols["loss"].append(problem.loss(mean[:, 0]))
     return {name: np.array(v) for name, v in cols.items()}
-
-
-def _fixed(wp, wg):
-    """The matrices_for_step of run_dsgd."""
-    return lambda t, x, g: (wp, wg)
 
 
 def _fstring_csv(log, path):
@@ -99,14 +95,6 @@ def _logs_equal(a, b):
 
 
 # --- equivalences ------------------------------------------------------
-
-def test_decoupled_with_equal_matrices_is_dsgd():
-    p = make_random_quadratics(6, 4, seed=40, noise_std=0.2)
-    g = build_ring(6)
-    w = metropolis_hastings(g)
-    cfg = RunConfig(steps=80, lr=0.2 / p.smoothness, noise_seed=1)
-    assert _logs_equal(run_dsgd(p, g, w, cfg), run_dsgd(p, g, w, cfg, w_grads=w))
-
 
 def test_uniform_mixing_tracks_centralized_descent():
     p = make_random_quadratics(5, 4, seed=42)
@@ -152,7 +140,7 @@ def test_two_class_pairing_run_is_exactly_mixed():
     p = make_two_class_ring(6, seed=45, noise_std=0.0)
     g = build_ring(16)
     cfg = RunConfig(steps=150, lr=0.3 / p.smoothness)
-    log = run_dsgd(p, g, metropolis_hastings(g), cfg, w_grads=pairing_matrix(16))
+    log = run_dsgd(p, g, pairing_matrix(16), cfg)
     grad_scale = float(np.sum(full_gradients(p, np.zeros((6, 16))) ** 2))
     assert log.gme.max() <= 1e-16 * grad_scale
     assert log.dist_to_opt[-1] < 1e-6
@@ -168,8 +156,7 @@ def test_alternate_interleaves_metropolis_hastings():
     rec = _record(p, g, cfg, _refreshed(g, cfg))
     for t in (1, 3, 5, 7):
         np.testing.assert_array_equal(rec[t][2], mh)
-        np.testing.assert_array_equal(rec[t][3], mh)
-    assert not np.array_equal(rec[0][3], mh)
+    assert not np.array_equal(rec[0][2], mh)
 
 
 def test_odd_period_alternates_from_each_refresh():
@@ -180,13 +167,11 @@ def test_odd_period_alternates_from_each_refresh():
     mh = metropolis_hastings(g).w
     cfg = RunConfig(steps=9, lr=0.1 / p.smoothness, period=3, sketch_dim=8)
     rec = _record(p, g, cfg, _refreshed(g, cfg))[:9]
-    assert [t for t, (_, _, wp, wg) in enumerate(rec)
-            if np.array_equal(wp, mh) and np.array_equal(wg, mh)] == [1, 4, 7]
+    assert [t for t, (_, _, w) in enumerate(rec) if np.array_equal(w, mh)] == [1, 4, 7]
     for t in (0, 3, 6):
         w = ce_gme(rec[t][1], g, SketchConfig(cfg.sketch_dim, cfg.sketch_seed + t // 3)).w
         for s in (t, t + 2):
             np.testing.assert_array_equal(rec[s][2], w)
-            np.testing.assert_array_equal(rec[s][3], w)
 
 
 def test_sketch_seed_changes_the_refresh():
@@ -213,9 +198,8 @@ def test_exact_gradients_ignore_the_noise_stream():
 def test_trace_recording_and_identity():
     p = make_random_quadratics(5, 4, seed=49, noise_std=0.3)
     g = build_ring(5)
-    w = metropolis_hastings(g).w
     cfg = RunConfig(steps=25, lr=0.1 / p.smoothness)
-    rec = _record(p, g, cfg, _fixed(w, w))
+    rec = _record(p, g, cfg, _fixed(metropolis_hastings(g)))
     assert len(rec) == 26
     assert not rec[0][0].any()
     assert check_update_identity(rec, cfg.lr) <= 1e-12
@@ -230,8 +214,7 @@ def test_the_hook_inputs_are_never_written_after_the_call(algorithm):
     g = build_random_connected(6, 0.6, seed=4)
     cfg = RunConfig(steps=2 * _CHUNK + 3, lr=0.2 / p.smoothness, period=10, sketch_dim=8,
                     noise_seed=7)
-    mh = metropolis_hastings(g).w
-    schedule = _refreshed(g, cfg) if algorithm == "hadsgd" else _fixed(mh, mh)
+    schedule = _refreshed(g, cfg) if algorithm == "hadsgd" else _fixed(metropolis_hastings(g))
     kept, copies = [], []
 
     def hook(t, x, grads):
@@ -246,23 +229,22 @@ def test_the_hook_inputs_are_never_written_after_the_call(algorithm):
 
 
 def test_hooks_may_return_fresh_or_alternating_matrices():
-    """The loop copies a hook's (Wp, Wg) only when they are other objects
-    than it returned at the step before. A dsgd hook that returns fresh
-    copies at every step logs the bits of _fixed, and a hadsgd run, whose
-    hook alternates the refreshed W and MH, mixes with each step's own
-    matrices."""
+    """The loop copies a hook's W only when it is another object than it
+    returned at the step before. A dsgd hook that returns a fresh copy at
+    every step logs the bits of _fixed, and a hadsgd run, whose hook
+    alternates the refreshed W and MH, mixes with each step's own matrix."""
     p = make_random_quadratics(6, 4, seed=57, noise_std=0.3)
     g = build_random_connected(6, 0.6, seed=5)
-    mh = metropolis_hastings(g).w
+    mh = metropolis_hastings(g)
     cfg = RunConfig(steps=2 * _CHUNK + 3, lr=0.2 / p.smoothness, noise_seed=8)
-    fixed = _simulate_one((p, g, cfg, _fixed(mh, mh)))
-    fresh = _simulate_one((p, g, cfg, lambda t, x, grads: (mh.copy(), mh.copy())))
+    fixed = _simulate_one((p, g, cfg, _fixed(mh)))
+    fresh = _simulate_one((p, g, cfg, lambda t, x, grads: mh.w.copy()))
     assert _logs_equal(fixed, fresh)
     hcfg = replace(cfg, period=10, sketch_dim=8)
     rec = _record(p, g, hcfg, _refreshed(g, hcfg))
-    for t, ((x0, grads, wp, wg), (x1, *_)) in enumerate(zip(rec, rec[1:])):
-        assert np.array_equal(wp, mh) == np.array_equal(wg, mh) == (t % 2 == 1)
-        np.testing.assert_array_equal(x1, x0 @ wp - hcfg.lr * (grads @ wg))
+    for t, ((x0, grads, w), (x1, *_)) in enumerate(zip(rec, rec[1:])):
+        assert np.array_equal(w, mh.w) == (t % 2 == 1)
+        np.testing.assert_array_equal(x1, x0 @ w - hcfg.lr * (grads @ w))
 
 
 # --- failure modes and config validation ------------------------------
@@ -311,9 +293,9 @@ def test_a_stopped_run_leaves_the_others_as_they_run_alone():
     def refresh_fails(t, x, grads):
         if t == 2 * _CHUNK + 1:
             raise ArithmeticError("refresh failed")
-        return mh[2].w, mh[2].w
+        return mh[2].w
 
-    hooks = [_fixed(mh[0].w, mh[0].w), _fixed(mh[1].w, mh[1].w), refresh_fails,
+    hooks = [_fixed(mh[0]), _fixed(mh[1]), refresh_fails,
              _refreshed(graphs[3], cfgs[3])]
     with pytest.warns(RuntimeWarning, match="expect divergence"):
         outcomes = _simulate(list(zip(problems, graphs, cfgs, hooks)))
@@ -339,6 +321,15 @@ def test_node_count_mismatch_is_an_error():
     g = build_ring(6)
     with pytest.raises(ValueError, match="nodes"):
         run_dsgd(p, g, metropolis_hastings(g), RunConfig(steps=5, lr=0.01))
+
+
+def test_run_dsgd_rejects_weight_off_the_graph():
+    """The complete graph's MH weights put 1/16 on (0, 2), which a ring of
+    16 has no edge for, so the run stops before its first step."""
+    p = make_random_quadratics(16, 4, seed=58)
+    w = metropolis_hastings(build_complete(16))
+    with pytest.raises(ValueError, match=r"w has weight 0\.0625 off the graph at \(0, 2\)"):
+        run_dsgd(p, build_ring(16), w, RunConfig(steps=5, lr=0.1 / p.smoothness))
 
 
 # --- metrics and CSV ---------------------------------------------------
@@ -389,7 +380,7 @@ def _runs(draw):
     return n, d, steps, draw(st.integers(0, 2**16)), draw(st.booleans())
 
 
-@pytest.mark.parametrize("algorithm", ["dsgd", "decoupled", "hadsgd"])
+@pytest.mark.parametrize("algorithm", ["dsgd", "hadsgd"])
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(_runs())
 def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
@@ -399,12 +390,7 @@ def test_chunked_metrics_match_the_per_step_formulas(algorithm, run):
         p = replace(p, noise_std=0.0)
     g = build_random_connected(n, 0.5, seed)
     cfg = RunConfig(steps=steps, lr=0.3 / p.smoothness, sketch_dim=8, noise_seed=seed)
-    if algorithm == "hadsgd":
-        schedule = _refreshed(g, cfg)
-    else:
-        wp = metropolis_hastings(g).w
-        wg = metropolis_hastings(build_complete(n)).w if algorithm == "decoupled" else wp
-        schedule = _fixed(wp, wg)
+    schedule = _refreshed(g, cfg) if algorithm == "hadsgd" else _fixed(metropolis_hastings(g))
     rec = []
     log = _simulate_one((p, g, cfg, _recording(schedule, rec)))
     want = _per_step_metrics(p, rec)
