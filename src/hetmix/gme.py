@@ -81,8 +81,8 @@ class GmeSolverParams:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,9 @@ class GramMatrix:
 
     Symmetric, positive semidefinite up to roundoff, and with zero row
     sums (centering puts the all-ones vector in the kernel). Construction
-    verifies all three, and keeps the largest eigenvalue (clipped at 0.0)
-    from the spectrum the PSD check computes.
+    rejects a 0 x 0 matrix, verifies all three, and keeps the largest
+    eigenvalue (clipped at 0.0) from the spectrum the PSD check computes;
+    the zero matrix passes with lam_max 0.0.
     """
 
     gamma: np.ndarray
@@ -100,22 +101,20 @@ class GramMatrix:
 
     def __post_init__(self) -> None:
         g = np.array(self.gamma, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {g.shape}")
-        scale = max(1.0, np.abs(g).max()) if g.size else 1.0
-        asym = np.abs(g - g.T).max() if g.size else 0.0
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or not g.size:
+            raise ValueError(f"Gram matrix must be square and nonempty, got shape {g.shape}")
+        scale = max(1.0, np.abs(g).max())
+        asym = np.abs(g - g.T).max()
         if asym > 1e-12 * scale:
             raise ValueError(f"Gram matrix is asymmetric (max gap {asym:.3e})")
         trace = float(np.trace(g))
-        top = 0.0
-        if np.any(g):
-            spectrum = np.linalg.eigvalsh(g)
-            low, top = float(spectrum[0]), max(float(spectrum[-1]), 0.0)
-            if low < -1e-9 * max(trace, 0.0) - 1e-12 * scale:
-                raise ValueError(f"Gram matrix is not PSD (eigenvalue {low:.3e})")
-            rows = np.abs(g.sum(axis=1)).max()
-            if rows > 1e-8 * np.linalg.norm(g):
-                raise ValueError(f"Gram matrix rows must sum to zero (max {rows:.3e})")
+        spectrum = np.linalg.eigvalsh(g)
+        low, top = float(spectrum[0]), max(float(spectrum[-1]), 0.0)
+        if low < -1e-9 * max(trace, 0.0) - 1e-12 * scale:
+            raise ValueError(f"Gram matrix is not PSD (eigenvalue {low:.3e})")
+        rows = np.abs(g.sum(axis=1)).max()
+        if rows > 1e-8 * np.linalg.norm(g):
+            raise ValueError(f"Gram matrix rows must sum to zero (max {rows:.3e})")
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "lam_max", top)

@@ -86,18 +86,15 @@ class Problem:
     def d(self) -> int:
         return self.a.shape[2]
 
-    def loss(self, x: np.ndarray) -> float | np.ndarray:
-        """Average objective at a point x of shape (d,), or at each row of a (T, d) stack.
+    def loss(self, x: np.ndarray) -> np.ndarray:
+        """Average objective at each row of a (T, d) stack of points.
 
         (1/n) sum_i ||A_i x + b_i||^2 as one product of the (n m, d) stacked
-        rows per point, so each row of a stack gets the bits of a call at
-        that row alone.
+        rows per point, so each row gets the bits of a one-row stack of it.
         """
-        x = np.asarray(x, dtype=float)
         rows = self.a.reshape(-1, self.d)
-        r = (np.atleast_2d(x)[:, None, :] @ rows.T)[:, 0] + self.b.ravel()
-        total = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / self.n
-        return float(total[0]) if x.ndim == 1 else total
+        r = (x[:, None, :] @ rows.T)[:, 0] + self.b.ravel()
+        return (r[:, None, :] @ r[:, :, None])[:, 0, 0] / self.n
 
 
 def _solve_optimum(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:

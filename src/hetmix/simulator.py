@@ -72,8 +72,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
         if self.sketch_dim < 1:
@@ -120,9 +120,9 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     return (csum[t + 1] - csum[lo]) / (t - lo + 1)
 
 
-def _chunk_metrics(problems, rows: list, x, g, gw, cols: dict, lo: int) -> None:
-    """Fill cols[name][rows, lo:lo + T] from T buffered steps of the runs
-    problems[r] for r in rows: states x, gradients g and g @ W of shape
+def _chunk_metrics(problems, x, g, gw, cols: dict, lo: int) -> None:
+    """Fill cols[name][:, lo:lo + T] from T buffered steps of the runs
+    problems[r], row r of states x, gradients g and g @ W of shape
     (R, T, d, n).
 
     Each line is the per-step formula with leading run and step axes,
@@ -131,21 +131,21 @@ def _chunk_metrics(problems, rows: list, x, g, gw, cols: dict, lo: int) -> None:
     """
     runs, steps, _, n = x.shape
     hi = lo + steps
-    x_star = np.stack([problems[r].x_star for r in rows])
+    x_star = np.stack([problem.x_star for problem in problems])
     mean = x.mean(axis=3, keepdims=True)
     dev = x - x_star[:, None, :, None]
     v = mean[..., 0] - x_star[:, None]
     # np.linalg.norm's own sum of squares, in place
     dist = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=2))
-    cols["dist_to_opt"][rows, lo:hi] = dist.mean(axis=2)
-    cols["dist_to_opt_mean"][rows, lo:hi] = np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+    cols["dist_to_opt"][:, lo:hi] = dist.mean(axis=2)
+    cols["dist_to_opt_mean"][:, lo:hi] = np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
     np.subtract(x, mean, out=dev)
-    cols["consensus"][rows, lo:hi] = np.sum(np.square(dev, out=dev).reshape(runs, steps, -1),
-                                            axis=2) / n
+    cols["consensus"][:, lo:hi] = np.sum(np.square(dev, out=dev).reshape(runs, steps, -1),
+                                         axis=2) / n
     gap = np.subtract(gw, g.mean(axis=3, keepdims=True), out=dev)
-    cols["gme"][rows, lo:hi] = np.sum(np.square(gap, out=gap).reshape(runs, steps, -1), axis=2)
-    for i, r in enumerate(rows):
-        cols["loss"][r, lo:hi] = problems[r].loss(mean[i, :, :, 0])
+    cols["gme"][:, lo:hi] = np.sum(np.square(gap, out=gap).reshape(runs, steps, -1), axis=2)
+    for r, problem in enumerate(problems):
+        cols["loss"][r, lo:hi] = problem.loss(mean[r, :, :, 0])
 
 
 def _simulate(runs: list) -> list:
@@ -172,14 +172,16 @@ def _simulate(runs: list) -> list:
     - G W (for the gme metric and the update) and X W are one stacked
       product each, written into their next buffer slots, and the
       divergence test is one pass over the new X.
-    _chunk_metrics reduces the buffers of all live runs every _CHUNK steps
-    and after the last step. The stacked products run the same per-matrix
-    operations as one run alone, so a run's metrics do not depend on the
-    runs beside it.
+    _chunk_metrics reduces the buffers of all runs every _CHUNK steps and
+    after the last step. The stacked products and reductions run the same
+    per-matrix operations as one run alone, row by row, so a run's metrics
+    do not depend on the runs beside it.
 
     A run's outcome is its MetricsLog, or the exception that stopped it: a
-    DivergenceError, or an ArithmeticError from its hook. A stopped run
-    leaves the stack and the others go on; any other exception propagates.
+    DivergenceError, or an ArithmeticError from its hook; any other
+    exception propagates. A stopped run keeps its row, with W = 0 and X = 0
+    from then on, and its hook is not called again; the loop ends once
+    every run has stopped.
     """
     if not runs:
         return []
@@ -196,8 +198,7 @@ def _simulate(runs: list) -> list:
                 "expect divergence",
                 RuntimeWarning,
             )
-    outcomes: list = [None] * len(runs)
-    live = list(range(len(runs)))  # the run in each row of the stacks
+    outcomes: list = [None] * len(runs)  # None while a run goes on
     rngs = [np.random.default_rng(cfg.noise_seed) for cfg in cfgs]
     cols = {name: np.empty((len(runs), steps)) for name in
             ("dist_to_opt", "dist_to_opt_mean", "consensus", "gme", "loss")}
@@ -218,51 +219,43 @@ def _simulate(runs: list) -> list:
                 carried, xs = xs[:, size], np.empty_like(xs)
                 xs[:, 0] = carried
             gs, gws = np.empty_like(xs[:, 1:]), np.empty_like(xs[:, 1:])
-            for i, r in enumerate(live):
-                if problems[r].noise_std > 0.0:
-                    noise = rngs[r].normal(0.0, problems[r].noise_std, (span, d, n))
-                    np.add(noise, problems[r].lin.T, out=offset[i, :span])
+            for r, problem in enumerate(problems):
+                if problem.noise_std > 0.0:
+                    noise = rngs[r].normal(0.0, problem.noise_std, (span, d, n))
+                    np.add(noise, problem.lin.T, out=offset[r, :span])
         x = xs[:, k]
         g = _node_gradients(hess, offset[:, k], x, gs[:, k])
-        failed = {}
-        for i, r in enumerate(live):
-            try:
-                w = hooks[r](t, x[i], g[i])
-            except ArithmeticError as exc:
-                failed[i] = exc
+        for r, hook in enumerate(hooks):
+            if outcomes[r] is not None:
                 continue
-            if w is not last[i]:
-                ws[i] = last[i] = w
-        for i in failed:
-            ws[i] = 0.0  # keeps its row finite until it leaves below
+            try:
+                w = hook(t, x[r], g[r])
+            except ArithmeticError as exc:
+                outcomes[r], w = exc, 0.0  # W = 0 sends the row to X = 0
+            if w is not last[r]:
+                ws[r] = last[r] = w
         gw = np.matmul(g, ws, out=gws[:, k])
         nxt = np.matmul(x, ws, out=xs[:, k + 1])
         nxt -= np.multiply(lr, gw, out=scratch)
         if not np.abs(nxt, out=scratch).max() <= _DIVERGE_LIMIT:
             big = np.abs(nxt).max(axis=(1, 2))
-            for i in np.flatnonzero(~(big <= _DIVERGE_LIMIT)).tolist():
-                failed.setdefault(i, DivergenceError(t, f"|X| reached {big[i]:.3e}"))
-        if failed:
-            for i, exc in failed.items():
-                outcomes[live[i]] = exc
-            keep = [i for i in range(len(live)) if i not in failed]
-            live = [live[i] for i in keep]
-            last = [last[i] for i in keep]
-            if not live:
-                break
-            hess, lr, xs, gs, gws, offset, ws, scratch = (
-                v[keep] for v in (hess, lr, xs, gs, gws, offset, ws, scratch))
+            for r in np.flatnonzero(~(big <= _DIVERGE_LIMIT)).tolist():
+                if outcomes[r] is None:
+                    outcomes[r] = DivergenceError(t, f"|X| reached {big[r]:.3e}")
+                ws[r] = nxt[r] = 0.0  # a stopped row stays at X = 0
+        if None not in outcomes:
+            break
         if k == size - 1 or t == steps - 1:
-            _chunk_metrics(problems, live, xs[:, :k + 1], gs[:, :k + 1], gws[:, :k + 1],
-                           cols, t - k)
-    for r in live:
-        outcomes[r] = MetricsLog(
-            step=np.arange(steps),
-            **{name: col[r] for name, col in cols.items()},
-            dist_to_opt_w=_trailing_mean(cols["dist_to_opt"][r], cfgs[r].window),
-            consensus_w=_trailing_mean(cols["consensus"][r], cfgs[r].window),
-            gme_w=_trailing_mean(cols["gme"][r], cfgs[r].window),
-        )
+            _chunk_metrics(problems, xs[:, :k + 1], gs[:, :k + 1], gws[:, :k + 1], cols, t - k)
+    for r, outcome in enumerate(outcomes):
+        if outcome is None:
+            outcomes[r] = MetricsLog(
+                step=np.arange(steps),
+                **{name: col[r] for name, col in cols.items()},
+                dist_to_opt_w=_trailing_mean(cols["dist_to_opt"][r], cfgs[r].window),
+                consensus_w=_trailing_mean(cols["consensus"][r], cfgs[r].window),
+                gme_w=_trailing_mean(cols["gme"][r], cfgs[r].window),
+            )
     return outcomes
 
 

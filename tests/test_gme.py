@@ -71,6 +71,8 @@ def test_gram_constructor_rejects():
     with pytest.raises(ValueError, match="PSD"):
         GramMatrix(neg)
     assert GramMatrix(np.zeros((3, 3))).lam_max == 0.0  # zero matrix is fine
+    with pytest.raises(ValueError, match="nonempty"):
+        GramMatrix(np.zeros((0, 0)))
 
 
 # --- sketching ---------------------------------------------------------
@@ -102,8 +104,9 @@ def test_jl_required_dim():
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         GmeSolverParams(max_iters=0)
-    with pytest.raises(ValueError):
-        GmeSolverParams(tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            GmeSolverParams(tol=tol)
 
 
 # --- objective and solver ---------------------------------------------

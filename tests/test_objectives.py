@@ -93,7 +93,8 @@ def test_random_quadratics_basic_facts():
     assert p.smoothness == pytest.approx(want, rel=1e-8)
     # loss is the plain average of node values
     x = np.ones(4)
-    assert p.loss(x) == pytest.approx(sum(_node_value(p, i, x) for i in range(5)) / 5)
+    (value,) = p.loss(x[None])
+    assert value == pytest.approx(sum(_node_value(p, i, x) for i in range(5)) / 5)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e4, 1e8])
@@ -115,10 +116,10 @@ def test_loss_of_a_stack_matches_each_point(n, d, extra_rows, t, seed, log_scale
     stacked = p.loss(x)
     assert stacked.shape == (t,)
     for i in range(t):
-        one = p.loss(x[i])
-        assert type(one) is float
-        assert stacked[i] == one
-        assert one == pytest.approx(_former_loss(p, x[i]), rel=1e-12)
+        one = p.loss(x[i:i + 1])
+        assert one.shape == (1,)
+        assert stacked[i] == one[0]
+        assert one[0] == pytest.approx(_former_loss(p, x[i]), rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -136,7 +137,7 @@ def test_gradients_and_loss_match_the_node_by_node_forms(n, d, extra_rows, seed,
                                atol=1e-12 * np.abs(want).max())
     for point in x.T:
         value = sum(_node_value(p, i, point) for i in range(n)) / n
-        assert p.loss(point) == pytest.approx(value, rel=1e-12)
+        assert p.loss(point[None])[0] == pytest.approx(value, rel=1e-12)
 
 
 def test_random_quadratics_rejects_underdetermined():

@@ -65,7 +65,7 @@ def _per_step_metrics(problem, steps):
         cols["dist_to_opt_mean"].append(np.linalg.norm(mean - x_star))
         cols["consensus"].append(np.sum((x - mean) ** 2) / n)
         cols["gme"].append(np.sum((g @ w - g.mean(axis=1, keepdims=True)) ** 2))
-        cols["loss"].append(problem.loss(mean[:, 0]))
+        cols["loss"].append(problem.loss(mean.T)[0])
     return {name: np.array(v) for name, v in cols.items()}
 
 
@@ -280,9 +280,9 @@ def test_nan_gradients_raise_at_their_step(monkeypatch, k):
 
 
 def test_a_stopped_run_leaves_the_others_as_they_run_alone():
-    """Run 0 diverges (at step 79), and then run 2's hook raises an
-    ArithmeticError from the row run 0 left; runs 1 and 3, on either side of
-    them in the stack, keep their solo bits."""
+    """Run 0 diverges (at step 79), and later run 2's hook raises an
+    ArithmeticError, while both keep their rows; runs 1 and 3, on either
+    side of them in the stack, keep their solo bits."""
     graphs = [build_random_connected(6, 0.6, seed=r) for r in range(4)]
     problems = [make_random_quadratics(6, 4, seed=60 + r, noise_std=0.2 * (r % 2))
                 for r in range(4)]
@@ -305,11 +305,57 @@ def test_a_stopped_run_leaves_the_others_as_they_run_alone():
     assert _logs_equal(outcomes[3], run_hadsgd(problems[3], graphs[3], cfgs[3]))
 
 
+def test_a_stopped_run_is_never_called_again(monkeypatch):
+    """Of a batch of three, run 0's hook raises at step _CHUNK + 30, run 1
+    diverges at step 77, and run 2 runs to the end with its solo bits. Each
+    hook's last call is at its run's stop. Without run 2 the loop ends at
+    the last stop, which the count of gradient products shows."""
+    graph = build_random_connected(6, 0.6, seed=0)
+    mh = metropolis_hastings(graph)
+    problems = [make_random_quadratics(6, 4, seed=60 + r, noise_std=0.2) for r in range(3)]
+    cfgs = [RunConfig(steps=2 * _CHUNK + 5, lr=(30.0 if r == 1 else 0.2) / p.smoothness,
+                      noise_seed=r) for r, p in enumerate(problems)]
+    stop = _CHUNK + 30
+    calls = [0, 0, 0]
+
+    def counted(r):
+        def hook(t, x, grads):
+            calls[r] += 1
+            if r == 0 and t == stop:
+                raise ArithmeticError("refresh failed")
+            return mh.w
+        return hook
+
+    runs = [(p, graph, cfg, counted(r)) for r, (p, cfg) in enumerate(zip(problems, cfgs))]
+    with pytest.warns(RuntimeWarning, match="expect divergence"):
+        outcomes = _simulate(runs)
+    assert isinstance(outcomes[0], ArithmeticError) and calls[0] == stop + 1
+    assert isinstance(outcomes[1], DivergenceError) and outcomes[1].step == 77
+    assert calls[1] == 78
+    assert calls[2] == cfgs[2].steps
+    assert _logs_equal(outcomes[2], run_dsgd(problems[2], graph, mh, cfgs[2]))
+
+    real, products = hetmix.simulator._node_gradients, []
+
+    def counting(*args):
+        products.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(hetmix.simulator, "_node_gradients", counting)
+    calls[:] = [0, 0, 0]
+    with pytest.warns(RuntimeWarning, match="expect divergence"):
+        first, second = _simulate(runs[:2])
+    assert isinstance(first, ArithmeticError) and second.step == 77
+    assert calls[:2] == [stop + 1, 78]
+    assert len(products) == stop + 1
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(steps=0, lr=0.1)
-    with pytest.raises(ValueError):
-        RunConfig(steps=1, lr=-1.0)
+    for lr in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            RunConfig(steps=1, lr=lr)
     with pytest.raises(ValueError):
         RunConfig(steps=1, lr=0.1, period=0)
     with pytest.raises(ValueError):
