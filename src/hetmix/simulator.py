@@ -121,9 +121,9 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
 
 
 def _chunk_metrics(problems, x, g, gw, cols: dict, lo: int) -> None:
-    """Fill cols[name][:, lo:lo + T] from T buffered steps of the runs
-    problems[r], row r of states x, gradients g and g @ W of shape
-    (R, T, d, n).
+    """Fill cols[name][:, lo:lo + T] from T buffered steps of the runs:
+    row r of the states x, gradients g and g @ W, of shape (R, T, d, n),
+    is the run of problems[r].
 
     Each line is the per-step formula with leading run and step axes,
     reducing along the same axis in the same order, so the values keep
